@@ -1,10 +1,13 @@
-"""Selective scan: sequential recurrence vs the associative parallel scan.
+"""Selective scan: the sequential recurrence and its doubling-scan cross-check.
 
 The core of the recognizer is a diagonal linear recurrence whose
-coefficients change at every step. This script shows that the log-depth
-doubling scan reproduces the step-by-step reference, that the recurrence
-stays bounded on very long inputs, and how the two evaluation modes
-trade off wall time.
+coefficients change at every step. On a CPU the sequential recurrence
+is the production path: the tape forward, its reverse-time adjoint and
+the generation prefill all run it, at O(L) work. The log-depth doubling
+scan (O(L log L) work, which pays only on parallel hardware) is kept as
+the cross-check behind ``mode="parallel"``. This script shows that the
+two agree, times both, and shows that the recurrence stays bounded on
+very long inputs.
 """
 
 import time
@@ -12,6 +15,7 @@ import time
 import numpy as np
 
 from ssmocr import ssm
+from ssmocr import tensor as T
 from ssmocr.tensor import Tensor
 
 rng = np.random.default_rng(0)
@@ -22,26 +26,42 @@ for n_steps in (16, 256, 1024):
     bx = rng.standard_normal((n_steps, 32, 16))
     c = rng.standard_normal((n_steps, 16))
     args = [Tensor(v, dtype="f32") for v in (a, bx, c)]
-    y_seq = ssm.selective_scan(*args, mode="sequential")
+    y_seq = ssm.selective_scan(*args)
     y_par = ssm.selective_scan(*args, mode="parallel")
     diff = np.abs(y_seq.data - y_par.data).max()
     print(f"  L={n_steps:5d}: max |sequential - parallel| = {diff:.2e}")
 
-print("\n== timing (f32, 64 channels, state 16) ==")
-print("the doubling scan runs log2(L) vectorized passes (O(L log L) element")
-print("work) instead of L interpreter steps; which wins on a CPU depends on")
-print("the shape, while on parallel hardware the log-depth form is the point")
-for n_steps in (256, 1024, 4096):
-    a = rng.uniform(0.0, 1.0, (n_steps, 64, 16)).astype(np.float32)
-    bx = rng.standard_normal((n_steps, 64, 16)).astype(np.float32)
-    t0 = time.perf_counter()
-    ssm._scan_sequential(a, bx)
-    t_seq = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    ssm._scan_parallel(a, bx)
-    t_par = time.perf_counter() - t0
-    print(f"  L={n_steps:5d}: sequential {t_seq * 1e3:7.1f} ms   "
-          f"parallel {t_par * 1e3:6.1f} ms")
+
+def forward_and_adjoint(a, bx, c, mode):
+    """(forward ms, adjoint ms) of one tape call, medians over repeats."""
+    fwd, adj = [], []
+    for _ in range(7):
+        args = [Tensor(v, requires_grad=True) for v in (a, bx, c)]
+        t0 = time.perf_counter()
+        y = ssm.selective_scan(*args, mode=mode)
+        t1 = time.perf_counter()
+        T.backward(T.sum_all(y))
+        fwd.append(t1 - t0)
+        adj.append(time.perf_counter() - t1)
+    return float(np.median(fwd)) * 1e3, float(np.median(adj)) * 1e3
+
+
+print("\n== timing: forward + adjoint (f32, 128 channels, state 16, median ms) ==")
+print("the recurrence does L steps of vectorized O(I*N) work; the doubling scan")
+print("does log2(L) passes over the whole sequence, O(L log L) element work,")
+print("that one numpy thread cannot spread out. Both modes share the")
+print("reverse-time recurrence as their adjoint; the production path is")
+print("the sequential forward plus that adjoint.")
+print(f"  {'L':>5}  {'fwd seq':>8}  {'fwd dbl':>8}  {'adjoint':>8}  "
+      f"{'total seq':>9}  {'total dbl':>9}")
+for n_steps in (26, 270, 1400):
+    a = rng.uniform(0.5, 1.0, (n_steps, 128, 16)).astype(np.float32)
+    bx = rng.standard_normal((n_steps, 128, 16)).astype(np.float32)
+    c = rng.standard_normal((n_steps, 16)).astype(np.float32)
+    f_seq, adj = forward_and_adjoint(a, bx, c, "sequential")
+    f_dbl, _ = forward_and_adjoint(a, bx, c, "parallel")
+    print(f"  {n_steps:5d}  {f_seq:8.2f}  {f_dbl:8.2f}  {adj:8.2f}  "
+          f"{f_seq + adj:9.2f}  {f_dbl + adj:9.2f}")
 
 print("\n== stability on a very long input ==")
 block = ssm.MambaBlock(8, n_state=4, expand=2, rng=np.random.default_rng(1))

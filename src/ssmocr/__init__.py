@@ -4,7 +4,16 @@ A numpy-backed library implementing a Mamba encoder-decoder for text-line
 recognition with CTC, autoregressive, and non-autoregressive heads, plus
 the measurement harness that contrasts its constant-size inference state
 with the growing key-value cache of a causal-attention decoder.
+
+SSMOCR_THREADS (default 1) fills the BLAS/OpenMP thread variables not
+already set, before any submodule imports numpy: BLAS sizes its pool then.
 """
+
+import os as _os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS"):
+    _os.environ.setdefault(_var, _os.environ.get("SSMOCR_THREADS", "1"))
 
 from .config import RunConfig, load_config
 from .metrics import cer, edit_distance, wer

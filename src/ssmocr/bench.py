@@ -31,11 +31,25 @@ def thread_count() -> int:
     return int(os.environ.get("SSMOCR_THREADS", "1"))
 
 
+def live_threads() -> int | None:
+    """OS threads of this process after a warm matmul, by when a BLAS pool,
+    if any, has started; None where /proc/self/task does not exist."""
+    if not os.path.isdir("/proc/self/task"):
+        return None
+    np.ones((256, 256)) @ np.ones((256, 256))
+    return len(os.listdir("/proc/self/task"))
+
+
 def require_single_thread() -> None:
     n = thread_count()
     if n != 1:
         raise BenchConfigError(
             f"benchmarks require single-thread pinning; SSMOCR_THREADS={n}")
+    live = live_threads()
+    if live is not None and live > 1:
+        raise BenchConfigError(
+            f"benchmarks require single-thread pinning; {live} threads are live "
+            "(numpy was imported before ssmocr, or a BLAS thread variable is above 1)")
 
 
 # ---------------------------------------------------------------------------

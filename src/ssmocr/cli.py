@@ -1,22 +1,14 @@
 """Command-line surface: synth, train, eval, decode, bench, rover.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error. SSMOCR_THREADS
-caps internal op parallelism; it must be set before numpy is first
-imported to take effect, which the module does here for its own entry
-points (default 1, benchmarks refuse anything else).
+caps internal op parallelism; importing the ``ssmocr`` package applies it
+before numpy loads (default 1, benchmarks refuse anything else).
 """
 
 from __future__ import annotations
 
-import os
-import sys
-
-_THREADS = os.environ.get("SSMOCR_THREADS", "1")
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-             "NUMEXPR_NUM_THREADS"):
-    os.environ.setdefault(_var, _THREADS)
-
 import argparse
+import sys
 from pathlib import Path
 
 import numpy as np

@@ -1,7 +1,8 @@
 """8-bit PGM (portable graymap) reading and writing.
 
-Reads both plain (P2) and raw (P5) variants; writes raw P5. All images
-are (H, W) uint8 arrays.
+Reads both plain (P2) and raw (P5) variants, rescaling samples of a
+maxval below 255 to 0..255; writes raw P5. All images are (H, W) uint8
+arrays.
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ def read_pgm(path) -> np.ndarray:
         if len(raw) != width * height:
             raise PgmError(f"{path}: truncated pixel data")
         img = np.frombuffer(raw, dtype=np.uint8).reshape(height, width)
+        if maxval < 255 and img.max() > maxval:
+            raise PgmError(f"{path}: sample out of range")
     else:
         vals = data[end:].split()
         if len(vals) != width * height:
@@ -61,6 +64,9 @@ def read_pgm(path) -> np.ndarray:
         if img.min() < 0 or img.max() > maxval:
             raise PgmError(f"{path}: sample out of range")
         img = img.astype(np.uint8)
+    if maxval < 255:
+        # rescale to 0..255, the range prepare_image assumes, to nearest
+        return ((img.astype(np.uint16) * 255 + maxval // 2) // maxval).astype(np.uint8)
     return img.copy()
 
 

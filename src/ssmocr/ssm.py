@@ -1,11 +1,12 @@
 """Selective state-space machinery.
 
 A diagonal linear recurrence h_t = a_t * h_(t-1) + b_t with
-input-dependent coefficients, evaluated either step by step or with an
-associative log-depth scan. The MambaBlock wraps it in the canonical
-gated block (in-projection, depthwise causal conv, SiLU, skip gain), and
-the BiMambaConnector runs one shared block over both temporal directions
-with additive fusion.
+input-dependent coefficients. The sequential recurrence, O(L) work, is
+the production path on a CPU (tape forward, adjoint and prefill); the
+log-depth doubling scan, O(L log L) work, is kept only as its cross-check.
+The MambaBlock wraps the scan in the canonical gated block (in-projection,
+depthwise causal conv, SiLU, skip gain), and the BiMambaConnector runs one
+shared block over both temporal directions with additive fusion.
 """
 
 from __future__ import annotations
@@ -28,12 +29,12 @@ DT_INIT_RANGE = (1e-3, 1e-1)  # softplus(dt_bias) lands here
 
 
 def _scan_sequential(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Reference recurrence h_t = a_t * h_(t-1) + b_t, h_0 = 0."""
+    """Recurrence h_t = a_t * h_(t-1) + b_t, h_0 = 0, step by step in place."""
     out = np.empty_like(b)
-    h = np.zeros(b.shape[1:], dtype=b.dtype)
-    for t in range(b.shape[0]):
-        h = a[t] * h + b[t]
-        out[t] = h
+    out[:1] = b[:1]
+    for a_t, h_prev, h_t, b_t in zip(a[1:], out[:-1], out[1:], b[1:]):
+        np.multiply(a_t, h_prev, out=h_t)
+        h_t += b_t
     return out
 
 
@@ -49,14 +50,6 @@ def _scan_parallel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         av[d:] = av[d:] * av[:-d]
         d *= 2
     return bv
-
-
-def _scan(a: np.ndarray, b: np.ndarray, mode: str) -> np.ndarray:
-    if mode == "sequential":
-        return _scan_sequential(a, b)
-    if mode == "parallel":
-        return _scan_parallel(a, b)
-    raise ValueError(f"unknown scan mode {mode!r}")
 
 
 def _zoh_np(a: np.ndarray, delta: np.ndarray):
@@ -132,12 +125,13 @@ def discretize_zoh(a: Tensor, delta: Tensor, b: Tensor):
 
 def selective_scan(a_bar: Tensor, b_bar_x: Tensor, c: Tensor,
                    d_skip: Tensor | None = None, x: Tensor | None = None,
-                   mode: str = "parallel") -> Tensor:
+                   mode: str = "sequential") -> Tensor:
     """y_t[i] = sum_n c_t[n] * h_t[i, n] (+ d_skip[i] * x_t[i]) where
     h_t = a_bar_t * h_(t-1) + b_bar_x_t, h_0 = 0.
 
-    a_bar, b_bar_x: (L, I, N); c: (L, N). Sequential mode is the reference
-    recurrence; parallel mode is the associative scan. L = 0 is valid.
+    a_bar, b_bar_x: (L, I, N); c: (L, N). L = 0 is valid. The default
+    sequential recurrence is the production path; mode="parallel" runs the
+    doubling scan as its cross-check. Both share one reverse-time adjoint.
     """
     ad, bd, cd = a_bar.data, b_bar_x.data, c.data
     if ad.shape != bd.shape or ad.ndim != 3:
@@ -146,7 +140,12 @@ def selective_scan(a_bar: Tensor, b_bar_x: Tensor, c: Tensor,
         raise T.ShapeError(f"selective_scan: c {c.shape} does not fit {a_bar.shape}")
     if (d_skip is None) != (x is None):
         raise T.ShapeError("selective_scan: d_skip and x must be given together")
-    h = _scan(ad, bd, mode)
+    if mode == "sequential":
+        h = _scan_sequential(ad, bd)
+    elif mode == "parallel":
+        h = _scan_parallel(ad, bd)
+    else:
+        raise ValueError(f"unknown scan mode {mode!r}")
     y = np.einsum("lin,ln->li", h, cd)
     inputs = [a_bar, b_bar_x, c]
     if d_skip is not None:
@@ -155,19 +154,18 @@ def selective_scan(a_bar: Tensor, b_bar_x: Tensor, c: Tensor,
         xd, sd = x.data, d_skip.data
 
     def bwd(gy):
-        dh = gy[:, :, None] * cd[:, None, :]
         dc = np.einsum("li,lin->ln", gy, h)
-        if ad.shape[0]:
-            # adjoint recurrence g_t = dh_t + a_(t+1) * g_(t+1), run as a
-            # reverse-time scan with the coefficients shifted by one
-            a_shift = np.concatenate([np.ones_like(ad[:1]), ad[:0:-1]], axis=0)
-            g = _scan_parallel(a_shift, dh[::-1])[::-1]
-            h_prev = np.concatenate([np.zeros_like(h[:1]), h[:-1]], axis=0)
-        else:
-            g = dh
-            h_prev = h
-        da = g * h_prev
-        grads = [da, np.ascontiguousarray(g), dc]
+        # adjoint g_t = dh_t + a_(t+1) * g_(t+1), run backwards in place
+        g = gy[:, :, None] * cd[:, None, :]
+        carry = np.empty(ad.shape[1:], dtype=g.dtype)
+        for a_next, g_next, g_t in zip(ad[:0:-1], g[:0:-1], g[-2::-1]):
+            np.multiply(a_next, g_next, out=carry)
+            g_t += carry
+        # da_t = g_t * h_(t-1), with h_0 = 0
+        da = np.empty_like(g)
+        da[:1] = 0.0
+        np.multiply(g[1:], h[:-1], out=da[1:])
+        grads = [da, g, dc]
         if d_skip is not None:
             grads += [(gy * xd).sum(axis=0), gy * sd]
         return tuple(grads)
@@ -298,7 +296,7 @@ class MambaBlock:
         self.w_out = _uniform(rng, (i, d_model), i, dtype)
         self.b_out = _zeros(d_model, dtype)
 
-    def forward(self, x: Tensor, scan_mode: str = "parallel") -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         i = self.d_inner
         xz = T.linear(x, self.w_in, self.b_in)
         main = T.narrow(xz, 1, 0, i)
@@ -306,8 +304,7 @@ class MambaBlock:
         u = T.silu(causal_conv1d(main, self.conv_w, self.conv_b))
         b, c, delta = self.ssm.project(u)
         a_bar, b_bar = discretize_zoh(self.ssm.a(), delta, b)
-        y = selective_scan(a_bar, T.mul_rowbcast(b_bar, u), c,
-                           self.ssm.d_skip, u, mode=scan_mode)
+        y = selective_scan(a_bar, T.mul_rowbcast(b_bar, u), c, self.ssm.d_skip, u)
         return T.linear(T.mul(y, T.silu(gate)), self.w_out, self.b_out)
 
     # -- recurrent inference path (numpy, no tape) --
@@ -336,7 +333,7 @@ class MambaBlock:
         y = state.h @ c + self.ssm.d_skip.data * u
         return (y * _silu_np(gate)) @ self.w_out.data + self.b_out.data
 
-    def forward_np(self, x: np.ndarray, scan_mode: str = "parallel"):
+    def forward_np(self, x: np.ndarray):
         """Full-sequence forward on raw arrays, also returning the final
         RecurrentState (used to prefill generation streams)."""
         i = self.d_inner
@@ -352,7 +349,7 @@ class MambaBlock:
         delta = _softplus_np(u @ self.ssm.w_dt.data + self.ssm.dt_bias.data)
         a = -np.exp(self.ssm.a_log.data)
         a_bar, r = _zoh_np(a, delta)
-        h = _scan(a_bar, (r * b[:, None, :]) * u[:, :, None], scan_mode)
+        h = _scan_sequential(a_bar, (r * b[:, None, :]) * u[:, :, None])
         y = np.einsum("lin,ln->li", h, c) + self.ssm.d_skip.data * u
         out = (y * _silu_np(gate)) @ self.w_out.data + self.b_out.data
         state = self.init_state()
@@ -394,11 +391,11 @@ class BiMambaConnector:
         self.ffn_w2 = _uniform(rng, (h, d), h, dtype)
         self.ffn_b2 = _zeros(d, dtype)
 
-    def forward(self, x: Tensor, scan_mode: str = "parallel") -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         xt = T.gelu(T.linear(
             T.layernorm_lastdim(x, self.norm1_g, self.norm1_b), self.w1, self.b1))
-        fwd = self.block.forward(xt, scan_mode)
-        bwd = T.flip(self.block.forward(T.flip(xt, 0), scan_mode), 0)
+        fwd = self.block.forward(xt)
+        bwd = T.flip(self.block.forward(T.flip(xt, 0)), 0)
         fused = T.add(T.add(fwd, bwd), x)
         ff = T.linear(T.gelu(T.linear(
             T.layernorm_lastdim(fused, self.norm2_g, self.norm2_b),
@@ -425,9 +422,9 @@ class MambaLayer:
         self.norm_b = _zeros(d_model, dtype)
         self.block = MambaBlock(d_model, n_state, expand, rng, dtype)
 
-    def forward(self, x: Tensor, scan_mode: str = "parallel") -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         xn = T.layernorm_lastdim(x, self.norm_g, self.norm_b)
-        return T.add(x, self.block.forward(xn, scan_mode))
+        return T.add(x, self.block.forward(xn))
 
     def _norm_np(self, x: np.ndarray) -> np.ndarray:
         mu = x.mean(axis=-1, keepdims=True)
@@ -437,8 +434,8 @@ class MambaLayer:
     def step(self, x_row: np.ndarray, state: RecurrentState) -> np.ndarray:
         return x_row + self.block.step(self._norm_np(x_row[None])[0], state)
 
-    def forward_np(self, x: np.ndarray, scan_mode: str = "parallel"):
-        y, state = self.block.forward_np(self._norm_np(x), scan_mode)
+    def forward_np(self, x: np.ndarray):
+        y, state = self.block.forward_np(self._norm_np(x))
         return x + y, state
 
     def params(self) -> dict[str, Tensor]:

@@ -1,4 +1,9 @@
-"""Byte accounting, growth tables, and timing statistics."""
+"""Byte accounting, growth tables, timing statistics and thread pinning."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,3 +154,29 @@ class TestTiming:
         rec = B.measure_latency(lambda x: np.zeros(250_000, dtype=np.float64),
                                 [0], warmup=0, repeats=3, track_peak=True)
         assert rec.peak_activation_bytes >= 2_000_000  # the 2 MB buffer is seen
+
+
+# after the timing tests: run just before them, its subprocess slowed their medians
+class TestThreadPinning:
+    def test_live_thread_guard(self, monkeypatch):
+        monkeypatch.setattr(B, "live_threads", lambda: 3)
+        with pytest.raises(B.BenchConfigError, match="3 threads are live"):
+            B.require_single_thread()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="needs /proc/self/task to count threads")
+    def test_import_pins_blas_to_one_thread(self):
+        thread_vars = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                       "NUMEXPR_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in thread_vars}
+        env["SSMOCR_THREADS"] = "1"
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(B.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")])
+        code = ("import ssmocr, os, numpy as np\n"
+                "a = np.ones((256, 256))\n"
+                "a @ a\n"
+                "print(len(os.listdir('/proc/self/task')))\n")
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, env=env, timeout=120)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "1"

@@ -156,6 +156,29 @@ class TestPgm:
         assert img.shape == (2, 3)
         assert img[0, 1] == 128 and img[1, 2] == 30
 
+    @pytest.mark.parametrize("maxval", [15, 1])
+    @pytest.mark.parametrize("magic", ["P2", "P5"])
+    def test_low_maxval_rescaled(self, tmp_path, magic, maxval):
+        samples = np.array([[0, maxval // 2, maxval], [maxval, 0, maxval]])
+        header = f"{magic}\n3 2\n{maxval}\n".encode("ascii")
+        if magic == "P5":
+            body = samples.astype(np.uint8).tobytes()
+        else:
+            body = " ".join(str(v) for v in samples.ravel()).encode("ascii")
+        p = tmp_path / "low.pgm"
+        p.write_bytes(header + body)
+        img = pgm.read_pgm(p)
+        assert img.dtype == np.uint8
+        expect = np.rint(samples * 255.0 / maxval).astype(np.uint8)
+        assert np.array_equal(img, expect)
+        assert img[0, 2] == 255 and img[0, 0] == 0
+
+    def test_low_maxval_raw_sample_out_of_range(self, tmp_path):
+        p = tmp_path / "over.pgm"
+        p.write_bytes(b"P5\n2 1\n15\n\x03\x10")
+        with pytest.raises(pgm.PgmError, match="out of range"):
+            pgm.read_pgm(p)
+
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "bad.pgm"
         p.write_bytes(b"P6\n1 1\n255\n\x00")

@@ -123,6 +123,61 @@ class TestSelectiveScan:
             yp = ssm.selective_scan(*args, mode="parallel")
             assert np.abs(ys.data - yp.data).max() <= tol
 
+    def test_default_mode_is_the_sequential_recurrence(self):
+        rng = np.random.default_rng(5)
+        a = rng.uniform(0.0, 1.0, (33, 6, 4)).astype(np.float32)
+        bx = rng.standard_normal((33, 6, 4)).astype(np.float32)
+        c = rng.standard_normal((33, 4)).astype(np.float32)
+        y = ssm.selective_scan(Tensor(a), Tensor(bx), Tensor(c))
+        expect = np.einsum("lin,ln->li", ssm._scan_sequential(a, bx), c)
+        assert y.data.tobytes() == expect.tobytes()
+
+    @staticmethod
+    def _scan_args(rng, L, i=2, n=2, skip=True):
+        args = [
+            Tensor(rng.uniform(0.5, 0.99, (L, i, n)), dtype="f64", requires_grad=True),
+            Tensor(rng.standard_normal((L, i, n)), dtype="f64", requires_grad=True),
+            Tensor(rng.standard_normal((L, n)), dtype="f64", requires_grad=True),
+        ]
+        if skip:
+            args += [Tensor(rng.standard_normal(i), dtype="f64", requires_grad=True),
+                     Tensor(rng.standard_normal((L, i)), dtype="f64", requires_grad=True)]
+        return args
+
+    @pytest.mark.parametrize("skip", [False, True])
+    @pytest.mark.parametrize("L", [1, 2, 300])
+    def test_adjoint_gradcheck(self, L, skip):
+        args = self._scan_args(np.random.default_rng(L), L, skip=skip)
+        check_grads(lambda: T.sum_all(T.gelu(ssm.selective_scan(*args))), args)
+
+    @pytest.mark.parametrize("skip", [False, True])
+    def test_empty_sequence_backward(self, skip):
+        args = self._scan_args(np.random.default_rng(0), 0, i=3, n=2, skip=skip)
+        y = ssm.selective_scan(*args)
+        assert y.shape == (0, 3)
+        T.backward(T.sum_all(y))
+        assert args[0].grad.shape == (0, 3, 2) and args[1].grad.shape == (0, 3, 2)
+        assert args[2].grad.shape == (0, 2)
+        if skip:
+            assert np.array_equal(args[3].grad, np.zeros(3))
+            assert args[4].grad.shape == (0, 3)
+
+    def test_one_adjoint_for_both_modes(self):
+        args = self._scan_args(np.random.default_rng(6), 257, i=5, n=3)
+        grads = {}
+        for mode in ("sequential", "parallel"):
+            for t in args:
+                t.grad = None
+            T.backward(T.sum_all(T.gelu(ssm.selective_scan(*args, mode=mode))))
+            grads[mode] = [t.grad.copy() for t in args]
+        for gs, gp in zip(grads["sequential"], grads["parallel"]):
+            assert np.abs(gs - gp).max() <= 1e-10
+
+    def test_unknown_mode_rejected(self):
+        z = np.zeros((2, 1, 1))
+        with pytest.raises(ValueError, match="scan mode"):
+            ssm.selective_scan(tt(z), tt(z), tt(np.zeros((2, 1))), mode="blocked")
+
     def test_gradients_with_skip(self):
         rng = np.random.default_rng(4)
         a = Tensor(rng.uniform(0.1, 0.9, (5, 3, 2)), dtype="f64", requires_grad=True)
