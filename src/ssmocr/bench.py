@@ -83,7 +83,6 @@ class BenchRecord:
     throughput: float      # items per second at the median
     cache_bytes: int
     peak_activation_bytes: int = 0
-    random_init: bool = True
 
 
 @dataclass
@@ -244,10 +243,8 @@ def write_latency_csv(path, records) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["model", "seq_len", "latency_ms", "latency_mad_ms",
-                    "throughput_per_s", "cache_bytes", "peak_activation_bytes",
-                    "random_init"])
+                    "throughput_per_s", "cache_bytes", "peak_activation_bytes"])
         for r in records:
             w.writerow([r.model, r.seq_len, f"{r.latency_ms:.4f}",
                         f"{r.latency_mad_ms:.4f}", f"{r.throughput:.3f}",
-                        r.cache_bytes, r.peak_activation_bytes,
-                        "yes" if r.random_init else "no"])
+                        r.cache_bytes, r.peak_activation_bytes])

@@ -4,12 +4,14 @@ Layout: magic "SSMOCR", u32 version, u64 header length, a canonical JSON
 header (model kind, config echo, vocabulary, rng state, step, tensor
 directory), the little-endian tensor payload, and a trailing CRC32 over
 everything before it. Canonical serialization makes save -> load -> save
-byte-identical.
+byte-identical; a save replaces the target atomically.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -82,9 +84,20 @@ def save(path, ckpt: Checkpoint) -> None:
         header_bytes,
         bytes(payload),
     ])
-    with open(path, "wb") as f:
-        f.write(body)
-        f.write(struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+    # write beside the target, then rename over it: an interrupted save
+    # leaves the previous checkpoint untouched
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(body)
+            f.write(struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load(path) -> Checkpoint:

@@ -5,11 +5,17 @@ recurrent cache, non-autoregressive with learned queries) plus a causal
 attention decoder whose key-value cache grows with every generated
 token; the latter exists as the quadratic counterpart in the memory
 scaling benchmark.
+
+Both autoregressive decoders generate through one greedy loop
+(``_greedy``) over a per-token numpy step. The attention decoder's
+prefill is its batch forward run off the tape, which yields the K/V
+cache; the Mamba decoder's prefill is the recurrence in
+``MambaLayer.forward_np``, which yields the final state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -217,6 +223,38 @@ class GenerationResult:
         self.steps = len(self.step_logits)
 
 
+def _greedy(step, vocab_size: int, max_len: int, force_ids):
+    """Greedy generation from sos (ties to the lowest id) until eos or
+    max_len; ``step(token, position) -> logits`` feeds one token, sos at
+    position 0. Returns (ids, truncated, step_logits).
+
+    force_ids, when given, feeds the gold tokens instead of the argmax
+    so incremental logits can be compared against teacher forcing.
+    pad/sos/blank never surface: their logits are masked at the argmax.
+    """
+    mask = np.zeros(vocab_size)
+    mask[[V.BLANK, V.PAD, V.SOS]] = NEG_MASK
+    logits = step(V.SOS, 0)
+    ids: list[int] = []
+    step_logits = [logits]
+    truncated = force_ids is None
+    n_steps = max_len if force_ids is None else min(len(force_ids), max_len)
+    for t in range(n_steps):
+        if force_ids is None:
+            tok = int(np.argmax(logits + mask))
+            if tok == V.EOS:
+                truncated = False
+                break
+        else:
+            tok = int(force_ids[t])
+        ids.append(tok)
+        if t + 1 == n_steps:
+            break
+        logits = step(tok, t + 1)
+        step_logits.append(logits)
+    return ids, truncated, np.asarray(step_logits)
+
+
 class CtcDecoder:
     """Unidirectional stack projecting every visual frame onto V+blank."""
 
@@ -288,49 +326,23 @@ class ArDecoder:
             states.append(state)
         return states
 
-    def _step(self, row: np.ndarray, states) -> np.ndarray:
+    def _step(self, token: int, states) -> np.ndarray:
+        row = self.embed.data[token]
         for layer, state in zip(self.layers, states):
             row = layer.step(row, state)
         return row @ self.w_out.data + self.b_out.data
 
     def generate(self, h_np: np.ndarray, max_len: int | None = None,
                  force_ids=None) -> GenerationResult:
-        """Greedy generation (ties to the lowest id) until eos or max_len.
-
-        force_ids, when given, feeds the gold tokens instead of the argmax
-        so incremental logits can be compared against teacher forcing.
-        pad/sos/blank never surface: their logits are masked at the argmax.
-        """
+        """Greedy generation until eos or max_len (see ``_greedy``)."""
         max_len = self.max_len if max_len is None else max_len
         if max_len > self.max_len:
             raise TargetTooLongError(f"max_len {max_len} exceeds {self.max_len}")
         states = self.start_stream(h_np)
         cache_bytes = sum(s.nbytes for s in states)
-        mask = np.zeros(self.vocab_size)
-        mask[[V.BLANK, V.PAD, V.SOS]] = NEG_MASK
-        logits = self._step(self.embed.data[V.SOS], states)
-        ids: list[int] = []
-        step_logits = [logits]
-        truncated = True
-        n_steps = max_len if force_ids is None else min(len(force_ids), max_len)
-        for t in range(n_steps):
-            tok = int(np.argmax(logits + mask))
-            if force_ids is None:
-                if tok == V.EOS:
-                    truncated = False
-                    break
-                ids.append(tok)
-                feed = tok
-            else:
-                feed = int(force_ids[t])
-                ids.append(feed)
-            if t + 1 == n_steps:
-                break
-            logits = self._step(self.embed.data[feed], states)
-            step_logits.append(logits)
-        if force_ids is not None:
-            truncated = False
-        return GenerationResult(ids, truncated, np.asarray(step_logits), cache_bytes)
+        out = _greedy(lambda tok, _pos: self._step(tok, states), self.vocab_size,
+                      max_len, force_ids)
+        return GenerationResult(*out, cache_bytes)
 
     def params(self):
         out = {"embed": self.embed}
@@ -408,8 +420,8 @@ def positional_encoding_1d(n: int, d: int, dtype=np.float32) -> np.ndarray:
 class KvCache:
     """Per-layer key/value rows; grows by one row per generated token."""
 
-    keys: list = field(default_factory=list)    # one (S, D) array per layer
-    values: list = field(default_factory=list)
+    keys: list      # one (S, D) array per layer
+    values: list
 
     @property
     def nbytes(self) -> int:
@@ -462,7 +474,8 @@ class AttentionBaselineDecoder:
 
     # -- batch path (tape) --
 
-    def _attn(self, xn: Tensor, layer) -> Tensor:
+    def _attn(self, xn: Tensor, layer):
+        """Causal multi-head self-attention; returns (out, k, v)."""
         s = xn.shape[0]
         dh = self.d_model // self.n_heads
         q = T.linear(xn, layer["wq"], layer["bq"])
@@ -478,17 +491,23 @@ class AttentionBaselineDecoder:
             scores = T.mul(T.matmul(qh, T.transpose2d(kh)), 1.0 / np.sqrt(dh))
             attn = T.softmax_lastdim(T.add(scores, mask_t))
             heads.append(T.matmul(attn, vh))
-        return T.linear(T.concat(heads, axis=1), layer["wo"], layer["bo"])
+        return T.linear(T.concat(heads, axis=1), layer["wo"], layer["bo"]), k, v
 
-    def _trunk(self, x: Tensor) -> Tensor:
+    def _trunk(self, x: Tensor):
+        """The pre-norm stack; returns (x, keys, values), one (S, D) key and
+        value array per layer."""
+        keys, values = [], []
         for layer in self.layers:
             xn = T.layernorm_lastdim(x, layer["ln1_g"], layer["ln1_b"])
-            x = T.add(x, self._attn(xn, layer))
+            a, k, v = self._attn(xn, layer)
+            keys.append(k.data)
+            values.append(v.data)
+            x = T.add(x, a)
             xn = T.layernorm_lastdim(x, layer["ln2_g"], layer["ln2_b"])
             ff = T.linear(T.gelu(T.linear(xn, layer["ffn_w1"], layer["ffn_b1"])),
                           layer["ffn_w2"], layer["ffn_b2"])
             x = T.add(x, ff)
-        return T.layernorm_lastdim(x, self.final_g, self.final_b)
+        return T.layernorm_lastdim(x, self.final_g, self.final_b), keys, values
 
     def teacher_logits(self, h: Tensor, target_ids) -> Tensor:
         target_ids = np.asarray(target_ids, dtype=np.int64)
@@ -496,7 +515,7 @@ class AttentionBaselineDecoder:
         e = T.embedding(self.embed, tokens)
         pe = positional_encoding_1d(tokens.size, self.d_model, e.data.dtype)
         x = T.concat([h, T.add(e, Tensor(pe))], axis=0)
-        x = self._trunk(x)
+        x, _, _ = self._trunk(x)
         tail = T.narrow(x, 0, h.shape[0], tokens.size)
         return T.linear(tail, self.w_out, self.b_out)
 
@@ -505,40 +524,14 @@ class AttentionBaselineDecoder:
         logits = self.teacher_logits(h, target_ids)
         return cross_entropy_rows(logits, np.concatenate([target_ids, [V.EOS]]))
 
-    # -- incremental path (numpy) --
+    # -- incremental path: batch prefill, numpy steps --
 
-    def _ln_np(self, x, g, b):
-        mu = x.mean(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + T.LN_EPS)
-        return g.data * ((x - mu) * inv) + b.data
-
-    def _heads(self, x):
-        return x.reshape(x.shape[0], self.n_heads, -1)
-
-    def start_stream(self, h_np: np.ndarray) -> tuple[KvCache, np.ndarray]:
-        """Run the visual prefix once, caching K/V per layer; returns the
-        cache and the output row of the last prefix position."""
-        cache = KvCache()
-        x = h_np
-        s = x.shape[0]
-        dh = self.d_model // self.n_heads
-        inv_scale = 1.0 / float(np.sqrt(dh))  # python float: no f64 upcast
-        mask = np.triu(np.full((s, s), NEG_MASK, dtype=x.dtype), k=1)
-        for layer in self.layers:
-            xn = self._ln_np(x, layer["ln1_g"], layer["ln1_b"])
-            q = self._heads(xn @ layer["wq"].data + layer["bq"].data)
-            k = self._heads(xn @ layer["wk"].data + layer["bk"].data)
-            v = self._heads(xn @ layer["wv"].data + layer["bv"].data)
-            scores = np.einsum("ihd,jhd->hij", q, k) * inv_scale + mask
-            attn = _softmax_np(scores)
-            ctx = np.einsum("hij,jhd->ihd", attn, v).reshape(s, self.d_model)
-            x = x + ctx @ layer["wo"].data + layer["bo"].data
-            xn = self._ln_np(x, layer["ln2_g"], layer["ln2_b"])
-            x = x + _gelu_np(xn @ layer["ffn_w1"].data + layer["ffn_b1"].data) \
-                @ layer["ffn_w2"].data + layer["ffn_b2"].data
-            cache.keys.append(k.reshape(s, self.d_model))
-            cache.values.append(v.reshape(s, self.d_model))
-        return cache, x[-1]
+    def start_stream(self, h_np: np.ndarray) -> KvCache:
+        """Run the visual prefix once through the batch forward, off the
+        tape, and keep its K/V rows per layer."""
+        with T.no_grad():
+            _, keys, values = self._trunk(Tensor(h_np))
+        return KvCache(keys, values)
 
     def step(self, token: int, position: int, cache: KvCache) -> np.ndarray:
         """Append one K/V pair per layer and return next-token logits."""
@@ -550,53 +543,32 @@ class AttentionBaselineDecoder:
                                     self.embed.data.dtype)[position]
         x = self.embed.data[token] + pe
         for i, layer in enumerate(self.layers):
-            xn = self._ln_np(x[None], layer["ln1_g"], layer["ln1_b"])[0]
+            xn = T.layernorm_np(x, layer["ln1_g"], layer["ln1_b"])
             q = (xn @ layer["wq"].data + layer["bq"].data).reshape(self.n_heads, dh)
             k = xn @ layer["wk"].data + layer["bk"].data
             v = xn @ layer["wv"].data + layer["bv"].data
             cache.keys[i] = np.concatenate([cache.keys[i], k[None]], axis=0)
             cache.values[i] = np.concatenate([cache.values[i], v[None]], axis=0)
-            ks = self._heads(cache.keys[i])
-            vs = self._heads(cache.values[i])
+            ks = cache.keys[i].reshape(-1, self.n_heads, dh)
+            vs = cache.values[i].reshape(-1, self.n_heads, dh)
             scores = np.einsum("hd,jhd->hj", q, ks) * inv_scale
             attn = _softmax_np(scores)
             ctx = np.einsum("hj,jhd->hd", attn, vs).reshape(self.d_model)
             x = x + ctx @ layer["wo"].data + layer["bo"].data
-            xn = self._ln_np(x[None], layer["ln2_g"], layer["ln2_b"])[0]
+            xn = T.layernorm_np(x, layer["ln2_g"], layer["ln2_b"])
             x = x + _gelu_np(xn @ layer["ffn_w1"].data + layer["ffn_b1"].data) \
                 @ layer["ffn_w2"].data + layer["ffn_b2"].data
-        x = self._ln_np(x[None], self.final_g, self.final_b)[0]
+        x = T.layernorm_np(x, self.final_g, self.final_b)
         return x @ self.w_out.data + self.b_out.data
 
     def generate(self, h_np: np.ndarray, max_len: int | None = None,
                  force_ids=None) -> GenerationResult:
+        """Greedy generation until eos or max_len (see ``_greedy``)."""
         max_len = self.max_len if max_len is None else max_len
-        cache, _ = self.start_stream(h_np)
-        mask = np.zeros(self.vocab_size)
-        mask[[V.BLANK, V.PAD, V.SOS]] = NEG_MASK
-        logits = self.step(V.SOS, 0, cache)
-        ids: list[int] = []
-        step_logits = [logits]
-        truncated = True
-        n_steps = max_len if force_ids is None else min(len(force_ids), max_len)
-        for t in range(n_steps):
-            tok = int(np.argmax(logits + mask))
-            if force_ids is None:
-                if tok == V.EOS:
-                    truncated = False
-                    break
-                ids.append(tok)
-                feed = tok
-            else:
-                feed = int(force_ids[t])
-                ids.append(feed)
-            if t + 1 == n_steps:
-                break
-            logits = self.step(feed, t + 1, cache)
-            step_logits.append(logits)
-        if force_ids is not None:
-            truncated = False
-        return GenerationResult(ids, truncated, np.asarray(step_logits), cache.nbytes)
+        cache = self.start_stream(h_np)
+        out = _greedy(lambda tok, pos: self.step(tok, pos, cache), self.vocab_size,
+                      max_len, force_ids)
+        return GenerationResult(*out, cache.nbytes)
 
     def params(self):
         out = {"embed": self.embed, "final.g": self.final_g, "final.b": self.final_b,

@@ -208,10 +208,3 @@ def flatten_grid(grid: FeatureGrid) -> Tensor:
 def unflatten_grid(x: Tensor, h: int, w: int,
                    origin_hw: tuple[int, int] = (0, 0)) -> FeatureGrid:
     return FeatureGrid(T.reshape(x, (h, w, x.shape[1])), origin_hw)
-
-
-def grid_extent(pixels: int, factors) -> int:
-    """Extent after a pooling schedule of ceil-mode factors."""
-    for f in factors:
-        pixels = -(-pixels // f)
-    return pixels

@@ -426,16 +426,12 @@ class MambaLayer:
         xn = T.layernorm_lastdim(x, self.norm_g, self.norm_b)
         return T.add(x, self.block.forward(xn))
 
-    def _norm_np(self, x: np.ndarray) -> np.ndarray:
-        mu = x.mean(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + T.LN_EPS)
-        return self.norm_g.data * ((x - mu) * inv) + self.norm_b.data
-
     def step(self, x_row: np.ndarray, state: RecurrentState) -> np.ndarray:
-        return x_row + self.block.step(self._norm_np(x_row[None])[0], state)
+        xn = T.layernorm_np(x_row, self.norm_g, self.norm_b)
+        return x_row + self.block.step(xn, state)
 
     def forward_np(self, x: np.ndarray):
-        y, state = self.block.forward_np(self._norm_np(x))
+        y, state = self.block.forward_np(T.layernorm_np(x, self.norm_g, self.norm_b))
         return x + y, state
 
     def params(self) -> dict[str, Tensor]:

@@ -578,6 +578,19 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     return custom_op("softmax", y, (x,), bwd)
 
 
+def _normalize_lastdim(x: np.ndarray):
+    """(x - mean) * inv over the last axis, and inv = 1/sqrt(var + eps)."""
+    mu = x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + x.dtype.type(LN_EPS))
+    return (x - mu) * inv, inv
+
+
+def layernorm_np(x: np.ndarray, scale: Tensor, shift: Tensor) -> np.ndarray:
+    """Last-dim layernorm of a raw array, off the tape; bitwise equal to
+    ``layernorm_lastdim(Tensor(x), scale, shift).data``."""
+    return scale.data * _normalize_lastdim(x)[0] + shift.data
+
+
 def layernorm_lastdim(x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
     d = x.shape[-1]
     if d < 1:
@@ -587,10 +600,7 @@ def layernorm_lastdim(x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
             f"layernorm: scale/shift {scale.shape}/{shift.shape} do not fit last dim {d}"
         )
     xd = x.data
-    mu = xd.mean(axis=-1, keepdims=True)
-    var = xd.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + xd.dtype.type(LN_EPS))
-    xhat = (xd - mu) * inv
+    xhat, inv = _normalize_lastdim(xd)
     out = scale.data * xhat + shift.data
     axes = tuple(range(xd.ndim - 1))
 

@@ -16,9 +16,6 @@ SOS = 2
 EOS = 3
 N_CONTROL = 4
 
-_CONTROL_NAMES = {BLANK: "<blank>", PAD: "<pad>", SOS: "<sos>", EOS: "<eos>"}
-
-
 class VocabularyError(ValueError):
     """Text or token id outside the vocabulary."""
 
@@ -68,9 +65,6 @@ class Vocabulary:
                 out.append(self.chars[i - N_CONTROL])
         return "".join(out)
 
-    def missing(self, text: str) -> set[str]:
-        return {ch for ch in text if ch not in self._char_to_id}
-
     def to_ctc(self, ids) -> np.ndarray:
         """Full-table character ids to the compact CTC space (char k -> k+1)."""
         ids = np.asarray(ids, dtype=np.int64)
@@ -83,11 +77,6 @@ class Vocabulary:
         if ctc_ids.size and (ctc_ids.min() < 1 or ctc_ids.max() >= self.ctc_size):
             raise VocabularyError("CTC id out of character range")
         return ctc_ids - 1 + N_CONTROL
-
-    def describe(self, i: int) -> str:
-        if i in _CONTROL_NAMES:
-            return _CONTROL_NAMES[i]
-        return self.chars[i - N_CONTROL]
 
     def __len__(self) -> int:
         return len(self.chars)

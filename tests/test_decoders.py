@@ -155,6 +155,16 @@ def make_ar(seed=0, d=8, vocab_size=8, dtype="f64", **kw):
                        rng=np.random.default_rng(seed), dtype=dtype, **kw)
 
 
+def make_attn(seed=0, d=8, vocab_size=8, dtype="f64", **kw):
+    return D.AttentionBaselineDecoder(d, vocab_size, n_layers=2, n_heads=2,
+                                      rng=np.random.default_rng(seed),
+                                      dtype=dtype, **kw)
+
+
+# both autoregressive decoders generate through the same greedy loop
+both_ar = pytest.mark.parametrize("make", [make_ar, make_attn], ids=["mamba-ar", "attn"])
+
+
 class TestArDecoder:
     def test_causal_contract(self):
         dec = make_ar(0)
@@ -168,8 +178,9 @@ class TestArDecoder:
         assert np.array_equal(base[:3], pert[:3])
         assert not np.array_equal(base[3:], pert[3:])
 
-    def test_teacher_equals_forced_incremental(self):
-        dec = make_ar(1)
+    @both_ar
+    def test_teacher_equals_forced_incremental(self, make):
+        dec = make(1)
         rng = np.random.default_rng(1)
         h = rng.standard_normal((10, 8))
         ids = np.array([4, 6, 5, 7, 4])
@@ -186,16 +197,18 @@ class TestArDecoder:
         logits = dec.teacher_logits(h, [])
         assert logits.shape == (1, 8)
 
-    def test_immediate_eos_gives_empty(self):
-        dec = make_ar(3)
+    @both_ar
+    def test_immediate_eos_gives_empty(self, make):
+        dec = make(3)
         dec.b_out.data[...] = 0.0
         dec.b_out.data[V.EOS] = 50.0  # rig the head toward eos
         gen = dec.generate(np.zeros((4, 8)))
         assert gen.ids == [] and not gen.truncated
 
-    def test_never_emits_control_ids(self):
+    @both_ar
+    def test_never_emits_control_ids(self, make):
         for seed in range(10):
-            dec = make_ar(seed)
+            dec = make(seed)
             h = np.random.default_rng(seed).standard_normal((5, 8))
             gen = dec.generate(h, max_len=20)
             assert all(i not in (V.BLANK, V.PAD, V.SOS) for i in gen.ids)
@@ -258,12 +271,6 @@ class TestNarDecoder:
         assert res.ids == [a, b, c] and res.truncated  # no eos in budget
 
 
-def make_attn(seed=0, d=8, vocab_size=8, **kw):
-    return D.AttentionBaselineDecoder(d, vocab_size, n_layers=2, n_heads=2,
-                                      rng=np.random.default_rng(seed),
-                                      dtype="f64", **kw)
-
-
 class TestAttentionBaseline:
     def test_cache_bytes_affine_formula(self):
         dec = make_attn(0)
@@ -277,7 +284,7 @@ class TestAttentionBaseline:
     def test_prefill_only_cache(self):
         dec = make_attn(1)
         h = np.random.default_rng(1).standard_normal((5, 8))
-        cache, _ = dec.start_stream(h)
+        cache = dec.start_stream(h)
         assert cache.length == 5
         assert cache.nbytes == 2 * 5 * 8 * 2 * 8
 
@@ -290,6 +297,18 @@ class TestAttentionBaseline:
         gen = dec.generate(h, force_ids=ids)
         n = gen.step_logits.shape[0]
         assert np.abs(teacher[:n] - gen.step_logits).max() <= 1e-5
+
+    @pytest.mark.parametrize("prefill", [17, 100, 512])
+    def test_f32_forced_matches_teacher(self, prefill):
+        dec = make_attn(5, d=32, vocab_size=12, dtype="f32")
+        rng = np.random.default_rng(prefill)
+        h = rng.standard_normal((prefill, 32)).astype(np.float32)
+        ids = rng.integers(4, 12, size=24)
+        teacher = dec.teacher_logits(Tensor(h), ids).data
+        gen = dec.generate(h, force_ids=ids)
+        assert gen.step_logits.dtype == np.float32
+        assert gen.step_logits.shape == (24, 12)
+        assert np.abs(teacher[:24] - gen.step_logits).max() <= 1e-5
 
     def test_context_overflow(self):
         dec = make_attn(3, max_ctx=8)

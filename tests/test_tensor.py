@@ -158,6 +158,17 @@ class TestActivations:
         assert np.abs(out.data.mean(axis=1)).max() < 1e-6
         assert np.abs(out.data.std(axis=1) - 1.0).max() < 1e-3
 
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("shape", [(8,), (5, 8)])
+    def test_layernorm_kernel_equals_tape_op(self, dtype, shape):
+        rng = np.random.default_rng(6)
+        x = T.Tensor(rng.standard_normal(shape) * 3.0 + 1.0, dtype=dtype)
+        g = T.Tensor(rng.standard_normal(8), dtype=dtype)
+        b = T.Tensor(rng.standard_normal(8), dtype=dtype)
+        raw = T.layernorm_np(x.data, g, b)
+        assert raw.dtype == x.data.dtype
+        assert np.array_equal(raw, T.layernorm_lastdim(x, g, b).data)
+
     def test_activation_dispatch(self):
         x = T.Tensor([1.0, -1.0])
         assert np.allclose(T.activation("silu", x).data, T.silu(x).data)

@@ -1,6 +1,7 @@
 """Config parsing, checkpoint format, and training-loop behaviour."""
 
 import dataclasses
+import io
 
 import numpy as np
 import pytest
@@ -147,6 +148,28 @@ class TestCheckpoint:
         p.write_bytes(p.read_bytes()[:-9])
         with pytest.raises(C.IntegrityError):
             C.load(p)
+
+    def test_interrupted_save_keeps_previous(self, tmp_path, monkeypatch):
+        p = tmp_path / "best.ckpt"
+        C.save(p, self.make_ckpt())
+        before = p.read_bytes()
+
+        class FailingFile(io.FileIO):
+            def write(self, data):
+                super().write(bytes(data)[: len(data) // 2])
+                raise OSError("disk full")
+
+        monkeypatch.setattr(C, "open", FailingFile, raising=False)
+        newer = dataclasses.replace(self.make_ckpt(), step=18)
+        with pytest.raises(OSError, match="disk full"):
+            C.save(p, newer)
+        monkeypatch.undo()
+        assert p.read_bytes() == before
+        assert C.load(p).step == 17
+        assert [f.name for f in tmp_path.iterdir()] == ["best.ckpt"]
+        C.save(p, newer)
+        assert C.load(p).step == 18
+        assert [f.name for f in tmp_path.iterdir()] == ["best.ckpt"]
 
     def test_model_roundtrip_bit_exact_forward(self, tmp_path):
         cfg = CFG.RunConfig(model_kind="mamba-ctc", d_model=16, n_state=4,
