@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import csv
 import gc
+import json
 import os
+import platform
 import time
 import tracemalloc
 from dataclasses import dataclass, field
@@ -38,6 +40,23 @@ def live_threads() -> int | None:
         return None
     np.ones((256, 256)) @ np.ones((256, 256))
     return len(os.listdir("/proc/self/task"))
+
+
+def write_environment(path) -> None:
+    """Write the facts a timing depends on to ``path`` as JSON."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    env = {
+        "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+        else os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}",
+        "SSMOCR_THREADS": thread_count(),
+        "live_threads": live_threads(),
+    }
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(env, f, indent=1)
+        f.write("\n")
 
 
 def require_single_thread() -> None:

@@ -146,6 +146,7 @@ def cmd_bench(args) -> int:
     )
     table.write_csv(out_dir / "growth.csv")
     table.write_plot_data(out_dir / "growth.dat")
+    B.write_environment(out_dir / "env.json")
     print(f"{'model':<18} {'length':>7} {'bytes':>12} {'factor':>8}")
     for r in table.rows:
         print(f"{r.model:<18} {r.length:>7} {r.bytes:>12} {r.factor:>7.2f}x")

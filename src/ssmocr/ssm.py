@@ -52,22 +52,42 @@ def _scan_parallel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return bv
 
 
+def _series_entries(a: np.ndarray, delta: np.ndarray, da: np.ndarray):
+    """Mask of the entries of da = delta[..., None] * a with
+    |da| < ZOH_SERIES_CUTOFF, or None when no entry is that small.
+
+    For delta (L, I) the test first runs on the (I, N) products
+    min_l |delta| * |a|. It is exact, because rounding a product of
+    non-negative floats is monotone in each factor, so the (L, I, N) mask
+    is only built when some entry needs it.
+    """
+    if delta.ndim == 2 and delta.size:
+        d_lo = np.abs(delta).min(axis=0)
+        if not (d_lo[:, None] * np.abs(a) < ZOH_SERIES_CUTOFF).any():
+            return None
+    small = np.abs(da) < ZOH_SERIES_CUTOFF
+    return small if small.any() else None
+
+
 def _zoh_np(a: np.ndarray, delta: np.ndarray):
     """Zero-order-hold factors for diagonal dynamics.
 
-    Returns (a_bar, r) with a_bar = exp(delta*a) and r such that
+    Returns (a_bar, r, small) with a_bar = exp(delta*a) and r such that
     b_bar = r * b; r = (exp(delta*a) - 1)/a, switching to the series
-    delta*(1 + delta*a/2) below the cutoff to avoid 0/0.
+    delta*(1 + delta*a/2) on the entries of the mask ``small`` (None when
+    there are none) to avoid 0/0. One exp, and r is formed in place.
     """
     da = delta[..., None] * a
-    a_bar = np.exp(da)
-    small = np.abs(da) < ZOH_SERIES_CUTOFF
-    if not small.any():
-        return a_bar, (a_bar - 1.0) / a
-    safe_a = np.where(small, 1.0, np.broadcast_to(a, da.shape))
-    exact = (a_bar - 1.0) / safe_a
-    series = delta[..., None] * (1.0 + 0.5 * da)
-    return a_bar, np.where(small, series, exact)
+    small = _series_entries(a, delta, da)
+    series = None if small is None else (delta[..., None] * (1.0 + 0.5 * da))[small]
+    a_bar = np.exp(da, out=da)
+    r = a_bar - 1.0
+    if small is None:
+        r /= a
+    else:
+        r /= np.where(small, 1.0, a)
+        r[small] = series
+    return a_bar, r, small
 
 
 def _silu_np(x):
@@ -89,35 +109,43 @@ def softplus_inverse(y):
 
 def discretize_zoh(a: Tensor, delta: Tensor, b: Tensor):
     """(a_bar, b_bar) from diagonal values a (I, N), timescales
-    delta (L, I) > 0, and input projections b (L, N); both outputs (L, I, N)."""
+    delta (L, I) > 0, and input projections b (L, N); both outputs (L, I, N).
+
+    With r = (a_bar - 1)/a, P = g_b_bar * b and Q = a_bar * (g_a_bar * a + P),
+    the adjoint is three contractions: g_delta = sum_n Q,
+    g_a = (sum_l delta * Q - sum_l P * r) / a and g_b = sum_i g_b_bar * r.
+    Entries on the series branch take their own derivatives instead.
+    """
     ad, dd, bd = a.data, delta.data, b.data
     if dd.ndim != 2 or ad.shape[0] != dd.shape[1]:
         raise T.ShapeError(f"discretize_zoh: delta {delta.shape} does not fit a {a.shape}")
     if bd.shape != (dd.shape[0], ad.shape[1]):
         raise T.ShapeError(f"discretize_zoh: b {b.shape} does not fit a {a.shape}")
-    da = dd[:, :, None] * ad
-    a_bar = np.exp(da)
-    small = np.abs(da) < ZOH_SERIES_CUTOFF
-    has_small = bool(small.any())
-    if has_small:
-        safe_a = np.where(small, 1.0, np.broadcast_to(ad, da.shape))
-        r = np.where(small, dd[:, :, None] * (1.0 + 0.5 * da), (a_bar - 1.0) / safe_a)
-    else:
-        safe_a = ad
-        r = (a_bar - 1.0) / ad
+    a_bar, r, small = _zoh_np(ad, dd)
     b_bar = r * bd[:, None, :]
 
     def bwd(ga_bar, gb_bar):
-        # r = (exp(da)-1)/a: dr/d(delta) = exp(da); dr/da = (da*a_bar - (a_bar-1))/a^2
-        dr_ddelta = a_bar
-        dr_da = (da * a_bar - (a_bar - 1.0)) / (safe_a * safe_a)
-        if has_small:
-            dr_ddelta = np.where(small, 1.0 + da, dr_ddelta)
-            dr_da = np.where(small, 0.5 * dd[:, :, None] ** 2, dr_da)
-        gb_r = gb_bar * bd[:, None, :]
-        gdelta = (ga_bar * a_bar * ad).sum(axis=2) + (gb_r * dr_ddelta).sum(axis=2)
-        ga = (ga_bar * a_bar * dd[:, :, None]).sum(axis=0) + (gb_r * dr_da).sum(axis=0)
-        gb = (gb_bar * r).sum(axis=1)
+        p = gb_bar * bd[:, None, :]
+        q = ga_bar * ad
+        q += p
+        q *= a_bar
+        gb = np.einsum("lin,lin->ln", gb_bar, r)
+        if small is not None:
+            # series r = delta*(1 + delta*a/2): dr/d(delta) = 1 + delta*a and
+            # dr/da = delta^2/2; these entries leave the closed forms
+            dl = dd[:, :, None]
+            ag = ga_bar * a_bar
+            gdelta_s = np.where(small, ag * ad + p * (1.0 + dl * ad), 0.0).sum(axis=2)
+            ga_s = np.where(small, ag * dl + p * (0.5 * dl * dl), 0.0).sum(axis=0)
+            q[small] = 0.0
+            p[small] = 0.0
+        gdelta = np.einsum("lin->li", q)
+        ga = np.einsum("li,lin->in", dd, q)
+        ga -= np.einsum("lin,lin->in", p, r)
+        ga /= np.where(ad == 0.0, 1.0, ad)  # a = 0 columns are all series
+        if small is not None:
+            gdelta += gdelta_s
+            ga += ga_s
         return ga, gdelta, gb
 
     return T.custom_op_multi("discretize_zoh", (a_bar, b_bar), (a, delta, b), bwd)
@@ -154,7 +182,7 @@ def selective_scan(a_bar: Tensor, b_bar_x: Tensor, c: Tensor,
         xd, sd = x.data, d_skip.data
 
     def bwd(gy):
-        dc = np.einsum("li,lin->ln", gy, h)
+        dc = (gy[:, None, :] @ h)[:, 0, :]
         # adjoint g_t = dh_t + a_(t+1) * g_(t+1), run backwards in place
         g = gy[:, :, None] * cd[:, None, :]
         carry = np.empty(ad.shape[1:], dtype=g.dtype)
@@ -328,7 +356,7 @@ class MambaBlock:
         u = _silu_np(conv)
         b, c, delta = self.ssm._project_np(u)
         a = -np.exp(self.ssm.a_log.data)
-        a_bar, r = _zoh_np(a, delta)
+        a_bar, r, _ = _zoh_np(a, delta)
         state.h = a_bar * state.h + (r * b) * u[:, None]
         y = state.h @ c + self.ssm.d_skip.data * u
         return (y * _silu_np(gate)) @ self.w_out.data + self.b_out.data
@@ -348,7 +376,7 @@ class MambaBlock:
         c = u @ self.ssm.w_c.data + self.ssm.b_c.data
         delta = _softplus_np(u @ self.ssm.w_dt.data + self.ssm.dt_bias.data)
         a = -np.exp(self.ssm.a_log.data)
-        a_bar, r = _zoh_np(a, delta)
+        a_bar, r, _ = _zoh_np(a, delta)
         h = _scan_sequential(a_bar, (r * b[:, None, :]) * u[:, :, None])
         y = np.einsum("lin,ln->li", h, c) + self.ssm.d_skip.data * u
         out = (y * _silu_np(gate)) @ self.w_out.data + self.b_out.data

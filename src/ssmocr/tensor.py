@@ -293,7 +293,7 @@ def repeat_cols(x: Tensor, n: int) -> Tensor:
 
 
 def mul_rowbcast(a: Tensor, u: Tensor) -> Tensor:
-    """a[l, i, n] * u[l, i]."""
+    """a[l, i, n] * u[l, i]; the u gradient contracts n with einsum."""
     if a.shape[:2] != u.shape:
         raise ShapeError(f"mul_rowbcast: shapes {a.shape} and {u.shape} mismatch")
     ad, ud = a.data, u.data
@@ -301,7 +301,7 @@ def mul_rowbcast(a: Tensor, u: Tensor) -> Tensor:
         "mul_rowbcast",
         ad * ud[:, :, None],
         (a, u),
-        lambda g: (g * ud[:, :, None], (g * ad).sum(axis=2)),
+        lambda g: (g * ud[:, :, None], np.einsum("lin,lin->li", g, ad)),
     )
 
 
@@ -495,31 +495,43 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
 
 def maxpool2d(x: Tensor, window) -> Tensor:
     """Max over (ph, pw) windows, ceil mode with ragged edges; gradient is
-    routed to the argmax cell (ties broken by lowest flat index)."""
+    routed to the argmax cell (ties broken by lowest flat index).
+
+    Cell (u, v) of every window is the strided view x[:, u::ph, v::pw]; on
+    a ragged edge it covers fewer windows, so nothing is padded or copied.
+    The forward folds the ph*pw views with np.maximum; the backward builds
+    one first-hit mask per cell and writes the gradient through its view.
+    """
     ph, pw = _pair(window)
     if ph < 1 or pw < 1:
         raise ShapeError(f"maxpool2d: window ({ph},{pw}) must be positive")
     if x.data.ndim != 3:
         raise ShapeError(f"maxpool2d expects (C,H,W), got {x.shape}")
-    c, h, w = x.shape
-    hb = -(-h // ph)
-    wb = -(-w // pw)
-    pad_h, pad_w = hb * ph - h, wb * pw - w
-    xp = np.pad(x.data, ((0, 0), (0, pad_h), (0, pad_w)), constant_values=-np.inf)
-    tiles = xp.reshape(c, hb, ph, wb, pw).transpose(0, 1, 3, 2, 4).reshape(c, hb, wb, ph * pw)
-    arg = tiles.argmax(axis=3)
-    out = np.take_along_axis(tiles, arg[..., None], axis=3)[..., 0]
-    shape = x.shape
+    xd = x.data
+    _, h, w = x.shape
+    # (windows the cell covers, the cell's view of x), in flat window order
+    cells = [(np.s_[:, : -(-(h - u) // ph), : -(-(w - v) // pw)], np.s_[:, u::ph, v::pw])
+             for u in range(ph) for v in range(pw)]
+    out = xd[cells[0][1]].copy()
+    for o, s in cells[1:]:
+        np.maximum(out[o], xd[s], out=out[o])
+    if not out.all():  # a zero max takes the sign of its first equal cell
+        for o, s in reversed(cells):
+            np.copyto(out[o], xd[s], where=xd[s] == out[o])
 
     def bwd(g):
-        gx = np.zeros(shape, dtype=g.dtype)
-        ci, hi, wi = np.indices(arg.shape)
-        rows = hi * ph + arg // pw
-        cols = wi * pw + arg % pw
-        np.add.at(gx, (ci.ravel(), rows.ravel(), cols.ravel()), g.ravel())
+        gx = np.empty(xd.shape, dtype=g.dtype)  # every cell view is written
+        free = np.ones(out.shape, dtype=bool)   # windows whose max is unclaimed
+        for o, s in cells:
+            hit = xd[s] == out[o]
+            hit &= free[o]
+            free[o] &= ~hit
+            gs = gx[s]
+            np.multiply(g[o], hit, out=gs)
+            gs += 0.0  # -0.0 -> +0.0, as 0 + g would give
         return (gx,)
 
-    return custom_op("maxpool2d", np.ascontiguousarray(out), (x,), bwd)
+    return custom_op("maxpool2d", out, (x,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -641,6 +653,12 @@ def activation(kind: str, x: Tensor, scale: Tensor | None = None,
     return fn(x)
 
 
+def _channel_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum over (h, w) of a * b per channel of (C, H, W), as C BLAS dots."""
+    c = a.shape[0]
+    return (a.reshape(c, 1, -1) @ b.reshape(c, -1, 1)).reshape(c)
+
+
 def batchnorm2d(x: Tensor, scale: Tensor, shift: Tensor,
                 running_mean: np.ndarray, running_var: np.ndarray,
                 training: bool, momentum: float = 0.1,
@@ -650,6 +668,10 @@ def batchnorm2d(x: Tensor, scale: Tensor, shift: Tensor,
     Training mode normalizes with the sample's own spatial statistics and
     updates the running buffers in place (unbiased variance, EMA).
     Eval mode uses the frozen running statistics.
+
+    The input is centred once, the variance comes from the centred array
+    and the normalisation runs in place on it. The training backward is
+    the closed form gx = scale*inv*(g - mean(g) - xhat*mean(g*xhat)).
     """
     if x.data.ndim != 3:
         raise ShapeError(f"batchnorm2d expects (C,H,W), got {x.shape}")
@@ -658,34 +680,34 @@ def batchnorm2d(x: Tensor, scale: Tensor, shift: Tensor,
         raise ShapeError("batchnorm2d: scale/shift must have one entry per channel")
     xd = x.data
     dt = xd.dtype
+    n = xd.shape[1] * xd.shape[2]
     if training:
         mu = xd.mean(axis=(1, 2))
-        var = xd.var(axis=(1, 2))
-        n = xd.shape[1] * xd.shape[2]
+        xhat = xd - mu[:, None, None]
+        var = _channel_dot(xhat, xhat) / n
         unbiased = var * (n / max(n - 1, 1))
         running_mean *= 1.0 - momentum
         running_mean += momentum * mu.astype(running_mean.dtype)
         running_var *= 1.0 - momentum
         running_var += momentum * unbiased.astype(running_var.dtype)
     else:
-        mu = running_mean.astype(dt)
         var = running_var.astype(dt)
+        xhat = xd - running_mean.astype(dt)[:, None, None]
     inv = 1.0 / np.sqrt(var + dt.type(eps))
-    xhat = (xd - mu[:, None, None]) * inv[:, None, None]
-    out = scale.data[:, None, None] * xhat + shift.data[:, None, None]
+    xhat *= inv[:, None, None]
+    out = xhat * scale.data[:, None, None]
+    out += shift.data[:, None, None]
+    gain = (scale.data * inv)[:, None, None]
 
     def bwd(g):
-        gscale = (g * xhat).sum(axis=(1, 2))
+        gscale = _channel_dot(g, xhat)
         gshift = g.sum(axis=(1, 2))
-        gh = g * scale.data[:, None, None]
-        if training:
-            gx = inv[:, None, None] * (
-                gh
-                - gh.mean(axis=(1, 2), keepdims=True)
-                - xhat * (gh * xhat).mean(axis=(1, 2), keepdims=True)
-            )
-        else:
-            gx = gh * inv[:, None, None]
+        if not training:
+            return (g * gain, gscale, gshift)
+        gx = xhat * (-gscale / n)[:, None, None]
+        gx += g
+        gx -= (gshift / n)[:, None, None]
+        gx *= gain
         return (gx, gscale, gshift)
 
     return custom_op("batchnorm2d", out, (x, scale, shift), bwd)

@@ -1,8 +1,10 @@
 """End-to-end CLI behaviour: commands, exit codes, file outputs."""
 
+import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ssmocr.pgm import write_pgm
@@ -128,6 +130,16 @@ class TestBench:
         lengths = sorted({int(l.split(",")[1]) for l in csv_lines[1:]})
         assert lengths == [100, 300, 600, 1000]
         assert (tmp_path / "b" / "growth.dat").exists()
+
+    def test_environment_written_beside_growth(self, tmp_path):
+        r = run_cli("bench", "--out-dir", str(tmp_path / "b"))
+        assert r.returncode == 0, r.stderr
+        env = json.loads((tmp_path / "b" / "env.json").read_text())
+        assert set(env) == {"nproc", "python", "numpy", "blas", "SSMOCR_THREADS",
+                            "live_threads"}
+        assert env["live_threads"] == 1
+        assert env["SSMOCR_THREADS"] == 1
+        assert env["numpy"] == np.__version__
 
     def test_mamba_factor_bounded_attention_increasing(self, tmp_path):
         r = run_cli("bench", "--out-dir", str(tmp_path / "b"))

@@ -13,7 +13,120 @@ def tt(x, grad=False):
     return Tensor(np.asarray(x, dtype=np.float64), requires_grad=grad)
 
 
+def zoh_chain_oracle(a, delta, b, u, c, d_skip, gy):
+    """Forward and adjoint of discretize_zoh -> mul_rowbcast ->
+    selective_scan in elementwise form: the series mask over the full
+    (L, I, N) grid, dr/d(delta) and dr/da as arrays, and every contraction
+    as an explicit multiply and sum."""
+    cut = ssm.ZOH_SERIES_CUTOFF
+    da = delta[:, :, None] * a
+    a_bar = np.exp(da)
+    small = np.abs(da) < cut
+    safe_a = np.where(small, 1.0, np.broadcast_to(a, da.shape))
+    r = np.where(small, delta[:, :, None] * (1.0 + 0.5 * da), (a_bar - 1.0) / safe_a)
+    b_bar = r * b[:, None, :]
+    bx = b_bar * u[:, :, None]
+    h = np.zeros_like(bx)
+    prev = np.zeros_like(bx[0])
+    for t in range(len(bx)):
+        prev = a_bar[t] * prev + bx[t]
+        h[t] = prev
+    y = (h * c[:, None, :]).sum(axis=2) + d_skip * u
+    # scan adjoint
+    dc = (gy[:, :, None] * h).sum(axis=1)
+    g = gy[:, :, None] * c[:, None, :]
+    for t in range(len(g) - 2, -1, -1):
+        g[t] += a_bar[t + 1] * g[t + 1]
+    ga_bar = np.zeros_like(g)
+    ga_bar[1:] = g[1:] * h[:-1]
+    gd_skip = (gy * u).sum(axis=0)
+    # mul_rowbcast
+    gb_bar = g * u[:, :, None]
+    gu = gy * d_skip + (g * b_bar).sum(axis=2)
+    # discretize
+    dr_ddelta = np.where(small, 1.0 + da, a_bar)
+    dr_da = np.where(small, 0.5 * delta[:, :, None] ** 2,
+                     (da * a_bar - (a_bar - 1.0)) / (safe_a * safe_a))
+    gb_r = gb_bar * b[:, None, :]
+    gdelta = (ga_bar * a_bar * a).sum(axis=2) + (gb_r * dr_ddelta).sum(axis=2)
+    ga = (ga_bar * a_bar * delta[:, :, None]).sum(axis=0) + (gb_r * dr_da).sum(axis=0)
+    gb = (gb_bar * r).sum(axis=1)
+    return y, [ga, gdelta, gb, gu, dc, gd_skip]
+
+
 class TestDiscretizeZoh:
+    def test_channel_prefilter_is_exact(self):
+        rng = np.random.default_rng(12)
+        cut = ssm.ZOH_SERIES_CUTOFF
+        outcomes = set()
+        for trial in range(600):
+            L, i, n = (int(v) for v in rng.integers(1, 6, 3))
+            L = 0 if trial % 50 == 0 else L
+            delta = 10.0 ** rng.uniform(-8, -1, (L, i))
+            delta[rng.random(L) < 0.2] = 0.0  # delta = 0 rows
+            if trial % 3 == 0:  # products within a few ulps of the cutoff
+                a = -(cut / delta.max(initial=1.0)) * (1.0 + rng.integers(-3, 4, (i, n)) * 1e-16)
+            else:
+                a = -(10.0 ** rng.uniform(-4, 1, (i, n)))
+            a[rng.random((i, n)) < 0.1] = 0.0  # a = 0 entries
+            dtype = np.float32 if trial % 2 else np.float64
+            delta, a = delta.astype(dtype), a.astype(dtype)
+            da = delta[:, :, None] * a
+            full = np.abs(da) < cut
+            small = ssm._series_entries(a, delta, da)
+            assert (small is not None) == full.any()
+            if small is not None:
+                assert np.array_equal(small, full)
+            outcomes.add(small is not None)
+        assert outcomes == {True, False}
+
+    def test_gradients_with_series_entries(self):
+        rng = np.random.default_rng(3)
+        a_np = -np.exp(rng.standard_normal((3, 2)))
+        a_np[1, 0] = 0.0
+        d_np = rng.uniform(0.01, 0.5, (4, 3))
+        d_np[1] = 1e-9
+        d_np[2, 2] = 0.0
+        a = Tensor(a_np, requires_grad=True)
+        delta = Tensor(d_np, requires_grad=True)
+        b = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+        small = np.abs(d_np[:, :, None] * a_np) < ssm.ZOH_SERIES_CUTOFF
+        assert 0 < small.sum() < small.size
+
+        def loss():
+            a_bar, b_bar = ssm.discretize_zoh(a, delta, b)
+            return T.sum_all(T.add(T.mul(a_bar, a_bar), T.gelu(b_bar)))
+
+        check_grads(loss, [a, delta, b])
+
+    @pytest.mark.parametrize("series", [False, True])
+    def test_chain_matches_elementwise_formulas_f64(self, series):
+        rng = np.random.default_rng(21 + series)
+        L, i, n = 40, 6, 4
+        a = -np.tile(np.arange(1.0, n + 1), (i, 1)) * rng.uniform(0.5, 2.0, (i, n))
+        delta = rng.uniform(1e-3, 0.5, (L, i))
+        if series:
+            delta[5] = 1e-9
+            delta[17, 2] = 0.0
+            a[3, 1] = 0.0
+        b, c = rng.standard_normal((L, n)), rng.standard_normal((L, n))
+        u, d_skip = rng.standard_normal((L, i)), rng.standard_normal(i)
+        gy = rng.standard_normal((L, i))
+        expect_y, expect_grads = zoh_chain_oracle(a, delta, b, u, c, d_skip, gy)
+
+        ts = [Tensor(v, requires_grad=True) for v in (a, delta, b, u, c, d_skip)]
+        at, dt, bt, ut, ct, st = ts
+        a_bar, b_bar = ssm.discretize_zoh(at, dt, bt)
+        y = ssm.selective_scan(a_bar, T.mul_rowbcast(b_bar, ut), ct, st, ut)
+        T.backward(T.sum_all(T.mul(y, Tensor(gy))))
+
+        def rel(got, expect):
+            return np.abs(got - expect).max() / np.abs(expect).max()
+
+        assert rel(y.data, expect_y) <= 1e-12
+        for t, expect in zip(ts, expect_grads):
+            assert rel(t.grad, expect) <= 1e-12
+
     def test_closed_form_point(self):
         a = tt([[-1.0]])
         delta = tt([[np.log(2.0)]])

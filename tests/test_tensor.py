@@ -97,7 +97,59 @@ class TestConv2d:
             T.conv2d(T.Tensor(np.zeros((1, 2, 2))), T.Tensor(np.zeros((1, 1, 5, 5))))
 
 
+def maxpool_oracle(x, window, g):
+    """Per-window loop: the first cell in flat order that beats every
+    earlier one (argmax, ties to the lowest flat index) gives the value
+    and takes the whole gradient, added onto zeros."""
+    ph, pw = window
+    c, h, w = x.shape
+    hb, wb = -(-h // ph), -(-w // pw)
+    out = np.empty((c, hb, wb), dtype=x.dtype)
+    gx = np.zeros_like(x)
+    for k in range(c):
+        for i in range(hb):
+            for j in range(wb):
+                best = None
+                for u in range(ph):
+                    for v in range(pw):
+                        cell = (k, i * ph + u, j * pw + v)
+                        if cell[1] < h and cell[2] < w and (best is None or x[cell] > x[best]):
+                            best = cell
+                out[k, i, j] = x[best]
+                gx[best] += g[k, i, j]
+    return out, gx
+
+
+POOL_INPUTS = {
+    "random": lambda rng, shape: rng.standard_normal(shape),
+    "integer_ties": lambda rng, shape: rng.integers(-2, 3, shape) * 1.0,
+    "all_equal": lambda rng, shape: np.full(shape, 0.75),
+    "signed_zeros": lambda rng, shape: np.where(rng.random(shape) < 0.5, -0.0, 0.0),
+    "zeros_and_negatives": lambda rng, shape: np.where(
+        rng.random(shape) < 0.5, -0.0, -rng.random(shape)),
+}
+
+
 class TestMaxpool:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("window", [(2, 2), (2, 1), (3, 2)])
+    @pytest.mark.parametrize("kind", list(POOL_INPUTS))
+    def test_matches_window_loop_bitwise(self, kind, window, dtype):
+        rng = np.random.default_rng(len(kind) * 7 + window[0] * 3 + window[1])
+        for shape in [(2, 6, 4), (2, 7, 5), (1, 1, 1), (3, 5, 8)]:
+            x = POOL_INPUTS[kind](rng, shape).astype(dtype)
+            ph, pw = window
+            g = rng.standard_normal((shape[0], -(-shape[1] // ph), -(-shape[2] // pw)))
+            g[rng.random(g.shape) < 0.2] = -0.0
+            g = g.astype(dtype)
+            expect_out, expect_gx = maxpool_oracle(x, window, g)
+            xt = T.Tensor(x, requires_grad=True)
+            out = T.maxpool2d(xt, window)
+            T.backward(T.sum_all(T.mul(out, T.Tensor(g))))
+            assert out.data.dtype == dtype and xt.grad.dtype == dtype
+            assert out.data.tobytes() == expect_out.tobytes()
+            assert xt.grad.tobytes() == expect_gx.tobytes()
+
     def test_constant_invariance(self):
         x = np.full((2, 4, 6), 3.5)
         out = T.maxpool2d(T.Tensor(x), (2, 2))
@@ -129,6 +181,58 @@ class TestMaxpool:
     def test_zero_window_rejected(self):
         with pytest.raises(T.ShapeError):
             T.maxpool2d(T.Tensor(np.zeros((1, 2, 2))), (0, 2))
+
+
+def batchnorm_oracle(x, scale, shift, running_mean, running_var, training, g,
+                     momentum=0.1, eps=1e-5):
+    """The two-pass formulas: np.var for the statistics, x_hat built from
+    x, and the backward through gh = g * scale and its two means."""
+    if training:
+        mu = x.mean(axis=(1, 2))
+        var = x.var(axis=(1, 2))
+        n = x.shape[1] * x.shape[2]
+        running_mean = (1.0 - momentum) * running_mean + momentum * mu
+        running_var = (1.0 - momentum) * running_var + momentum * var * (n / max(n - 1, 1))
+    else:
+        mu, var = running_mean, running_var
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu[:, None, None]) * inv[:, None, None]
+    out = scale[:, None, None] * xhat + shift[:, None, None]
+    gh = g * scale[:, None, None]
+    if training:
+        gx = inv[:, None, None] * (gh - gh.mean(axis=(1, 2), keepdims=True)
+                                   - xhat * (gh * xhat).mean(axis=(1, 2), keepdims=True))
+    else:
+        gx = gh * inv[:, None, None]
+    grads = (gx, (g * xhat).sum(axis=(1, 2)), g.sum(axis=(1, 2)))
+    return out, grads, running_mean, running_var
+
+
+class TestBatchnorm:
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("shape", [(3, 4, 5), (2, 1, 7), (4, 16, 40)])
+    def test_matches_two_pass_formulas_f64(self, shape, training):
+        def rel(a, b):
+            return np.abs(a - b).max() / np.abs(b).max()
+
+        rng = np.random.default_rng(shape[2] + training)
+        c = shape[0]
+        x = rng.standard_normal(shape) * 2.5 + 1.5
+        scale = rng.uniform(0.5, 1.5, c)
+        shift = rng.standard_normal(c)
+        rm0, rv0 = rng.standard_normal(c), rng.uniform(0.5, 2.0, c)
+        g = rng.standard_normal(shape)
+        expect_out, expect_grads, expect_rm, expect_rv = batchnorm_oracle(
+            x, scale, shift, rm0, rv0, training, g)
+
+        xt, st, bt = (T.Tensor(v, requires_grad=True) for v in (x, scale, shift))
+        rm, rv = rm0.copy(), rv0.copy()
+        out = T.batchnorm2d(xt, st, bt, rm, rv, training=training)
+        T.backward(T.sum_all(T.mul(out, T.Tensor(g))))
+        assert rel(out.data, expect_out) <= 1e-12
+        for got, expect in zip((xt.grad, st.grad, bt.grad), expect_grads):
+            assert rel(got, expect) <= 1e-12
+        assert rel(rm, expect_rm) <= 1e-12 and rel(rv, expect_rv) <= 1e-12
 
 
 class TestActivations:
