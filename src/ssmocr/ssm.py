@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from . import tensor as T
 from .tensor import Tensor
@@ -91,11 +90,7 @@ def _zoh_np(a: np.ndarray, delta: np.ndarray):
 
 
 def _silu_np(x):
-    return x * expit(x)
-
-
-def _softplus_np(x):
-    return np.logaddexp(0.0, x)
+    return x * T.sigmoid_np(x)
 
 
 def softplus_inverse(y):
@@ -285,7 +280,7 @@ class SsmParams:
     def _project_np(self, u: np.ndarray):
         b = u @ self.w_b.data + self.b_b.data
         c = u @ self.w_c.data + self.b_c.data
-        delta = _softplus_np(float(u @ self.w_dt.data[:, 0]) + self.dt_bias.data)
+        delta = T.softplus_np(float(u @ self.w_dt.data[:, 0]) + self.dt_bias.data)
         return b, c, delta
 
 
@@ -374,7 +369,7 @@ class MambaBlock:
         u = _silu_np(np.einsum("tkc,ck->tc", win, self.conv_w.data) + self.conv_b.data)
         b = u @ self.ssm.w_b.data + self.ssm.b_b.data
         c = u @ self.ssm.w_c.data + self.ssm.b_c.data
-        delta = _softplus_np(u @ self.ssm.w_dt.data + self.ssm.dt_bias.data)
+        delta = T.softplus_np(u @ self.ssm.w_dt.data + self.ssm.dt_bias.data)
         a = -np.exp(self.ssm.a_log.data)
         a_bar, r, _ = _zoh_np(a, delta)
         h = _scan_sequential(a_bar, (r * b[:, None, :]) * u[:, :, None])

@@ -4,7 +4,9 @@ Data lives in row-major numpy arrays, float32 or float64 only. Every op
 checks its output for NaN/Inf and, when an input is attached to the
 active tape, records a node whose closure maps the output gradient back
 to input gradients. ``backward`` walks the tape once in reverse and
-consumes it.
+consumes it: each node is released as it is walked, so a sample's tape
+is freed by reference counting rather than by the cycle collector, and
+the consumed loss is left detached.
 
 Broadcasting is deliberately restricted to scalar-tensor and last-dim
 bias adds so that loop oracles in the test suite stay trivial.
@@ -16,7 +18,7 @@ import contextlib
 import math
 
 import numpy as np
-from scipy.special import erf, expit
+from scipy.special import erf
 
 F32 = np.dtype(np.float32)
 F64 = np.dtype(np.float64)
@@ -86,14 +88,6 @@ class Tensor:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        out = Tensor.__new__(Tensor)
-        out.data = self.data
-        out.requires_grad = False
-        out.grad = None
-        out.node = None
-        return out
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -121,6 +115,11 @@ class Tape:
         self.nodes: list[Node] = []
 
     def reset(self) -> None:
+        """Drop every node, detaching its outputs so that nothing waits
+        for the cyclic garbage collector."""
+        for node in self.nodes:
+            for o in node.outputs:
+                o.node = None
         self.nodes.clear()
 
     def __len__(self) -> int:
@@ -190,16 +189,25 @@ def backward(loss: Tensor) -> None:
     """Reverse-topological gradient accumulation from a scalar loss.
 
     Gradients sum over fan-out and accumulate into ``.grad`` of every
-    requires_grad tensor reached. The tape is consumed.
+    requires_grad tensor reached. The tape is consumed: each node is
+    popped and its outputs detached before its closure runs, so the node,
+    the closure and the arrays only it holds are released as the walk
+    goes. The loss itself is detached, and a second ``backward`` on it
+    raises TapeError.
     """
     if loss.node is None:
         raise TapeError("backward on a tensor that is not connected to the tape")
     if loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
+    nodes = _tape.nodes
     flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     try:
-        for node in reversed(_tape.nodes):
-            outs = [flowing.get(id(o)) for o in node.outputs]
+        while nodes:
+            node = nodes.pop()
+            outs = []
+            for o in node.outputs:
+                o.node = None
+                outs.append(flowing.pop(id(o), None))
             if all(g is None for g in outs):
                 continue
             outs = [
@@ -215,15 +223,8 @@ def backward(loss: Tensor) -> None:
                 if t.node is not None:
                     prev = flowing.get(id(t))
                     flowing[id(t)] = g if prev is None else prev + g
-            for o in node.outputs:
-                flowing.pop(id(o), None)
     finally:
         _tape.reset()
-
-
-def zero_grads(params) -> None:
-    for p in params:
-        p.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -406,15 +407,6 @@ def sum_all(x: Tensor) -> Tensor:
     )
 
 
-def mean_all(x: Tensor) -> Tensor:
-    n = x.data.size
-    shape, dt = x.shape, x.data.dtype
-    return custom_op(
-        "mean", np.asarray(x.data.mean(), dtype=dt), (x,),
-        lambda g: ((np.broadcast_to(g, shape) / n).astype(dt, copy=True),),
-    )
-
-
 # ---------------------------------------------------------------------------
 # matmul / conv / pooling
 
@@ -553,9 +545,30 @@ def gelu(x: Tensor) -> Tensor:
     return custom_op("gelu", out, (x,), bwd)
 
 
+def sigmoid_np(x: np.ndarray) -> np.ndarray:
+    """Logistic function of a raw array as 0.5 * (1 + tanh(x / 2)), one
+    fresh buffer updated in place."""
+    s = np.multiply(x, 0.5, out=np.empty_like(x))  # an array even when 0-d
+    np.tanh(s, out=s)
+    s += 1.0
+    s *= 0.5
+    return s
+
+
+def softplus_np(x: np.ndarray) -> np.ndarray:
+    """log(1 + exp(x)) of a raw array as max(x, 0) + log1p(exp(-|x|)),
+    which neither overflows nor loses the small tail."""
+    t = np.abs(x, out=np.empty_like(x))
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    np.log1p(t, out=t)
+    t += np.maximum(x, 0)
+    return t
+
+
 def silu(x: Tensor) -> Tensor:
     xd = x.data
-    sig = expit(xd)
+    sig = sigmoid_np(xd)
     return custom_op(
         "silu", xd * sig, (x,), lambda g: (g * sig * (1.0 + xd * (1.0 - sig)),)
     )
@@ -564,10 +577,7 @@ def silu(x: Tensor) -> Tensor:
 def softplus(x: Tensor) -> Tensor:
     xd = x.data
     return custom_op(
-        "softplus",
-        np.logaddexp(xd.dtype.type(0.0), xd),
-        (x,),
-        lambda g: (g * expit(xd),),
+        "softplus", softplus_np(xd), (x,), lambda g: (g * sigmoid_np(xd),)
     )
 
 

@@ -263,6 +263,7 @@ def train_run(cfg: RunConfig, log=None) -> TrainResult:
                     T.backward(T.mul(loss, 1.0 / len(batch)))
                     total += loss.item()
         except T.NonFiniteError as e:
+            T.active_tape().reset()  # the failed forward's nodes
             raise TrainAbort(step, cfg.lr, ids_for_diag, str(e)) from e
         last_loss = total / len(batch)
         if not np.isfinite(last_loss):

@@ -1,7 +1,11 @@
 """Tensor core: loop oracles, gradient checks, tape behaviour."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from ssmocr import tensor as T
 from gradcheck import check_grads
@@ -285,6 +289,22 @@ class TestActivations:
         with pytest.raises(T.NonFiniteError):
             T.exp(T.Tensor([800.0], dtype="f64"))
 
+    def test_sigmoid_and_softplus_kernels_match_reference_forms(self):
+        x = np.concatenate([np.linspace(-800.0, 800.0, 1_600_001), [0.0, -0.0]])
+        before = x.copy()
+        assert np.abs(T.sigmoid_np(x) - expit(x)).max() <= 4.5e-16
+        ref = np.logaddexp(0.0, x)
+        # one subnormal step of slack: below ~2e-308 results carry fewer bits
+        slack = 1e-15 * ref + np.finfo(np.float64).smallest_subnormal
+        assert np.all(np.abs(T.softplus_np(x) - ref) <= slack)
+        assert np.array_equal(x, before)
+        for dt in (np.float32, np.float64):
+            assert T.sigmoid_np(x.astype(dt)).dtype == dt
+            assert T.softplus_np(x.astype(dt)).dtype == dt
+        scalar = T.sum_all(T.Tensor([0.5, 1.5], dtype="f64"))  # 0-d data
+        assert np.isclose(T.silu(scalar).data, 2.0 * expit(2.0), rtol=1e-15, atol=0)
+        assert np.isclose(T.softplus(scalar).data, np.logaddexp(0.0, 2.0), rtol=1e-15, atol=0)
+
 
 class TestBackward:
     def test_product_rule(self):
@@ -303,6 +323,44 @@ class TestBackward:
     def test_detached_tensor_errors(self):
         with pytest.raises(T.TapeError):
             T.backward(T.Tensor([1.0]))
+
+    def test_consumed_loss_is_detached(self):
+        x = T.Tensor([2.0], dtype="f64", requires_grad=True)
+        loss = T.sum_all(T.mul(x, x))
+        T.backward(loss)
+        assert loss.node is None
+        with pytest.raises(T.TapeError):
+            T.backward(loss)
+        assert x.grad[0] == 4.0
+
+    def test_backward_frees_the_tape_without_the_cycle_collector(self):
+        x = T.Tensor(np.linspace(-1.0, 1.0, 6), dtype="f64", requires_grad=True)
+        gc.disable()
+        try:
+            h = T.exp(x)               # on the gradient path
+            side = T.mul(x, 3.0)       # recorded, but no gradient reaches it
+            loss = T.sum_all(T.mul(h, h))
+            refs = [weakref.ref(h.data), weakref.ref(side.data)]
+            del h, side
+            T.backward(loss)
+            assert [r() for r in refs] == [None, None]
+            assert len(T.active_tape()) == 0
+        finally:
+            gc.enable()
+        assert np.allclose(x.grad, 2.0 * np.exp(2.0 * x.data))
+
+    def test_reset_detaches_unconsumed_nodes(self):
+        x = T.Tensor([1.0, 2.0], dtype="f64", requires_grad=True)
+        gc.disable()
+        try:
+            y = T.exp(x)
+            ref = weakref.ref(y.data)
+            T.active_tape().reset()
+            assert y.node is None
+            del y
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_nonscalar_loss_errors(self):
         x = T.Tensor([1.0, 2.0], requires_grad=True)

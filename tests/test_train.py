@@ -226,12 +226,15 @@ class TestTraining:
         assert np.allclose(resumed.loss_history, tail, atol=1e-6)
 
     def test_nan_loss_aborts_with_diagnostics(self, tiny_dataset, tmp_path):
+        import ssmocr.tensor as T
+        T.active_tape().reset()
         cfg = tiny_cfg(tmp_path, tiny_dataset, lr=1e18, clip_norm=0.0, max_steps=50)
         with pytest.raises(TR.TrainAbort) as err:
             TR.train_run(cfg)
         assert err.value.step > 0
         assert err.value.lr == 1e18
         assert err.value.batch_ids
+        assert len(T.active_tape()) == 0  # the failed forward left no nodes
 
     def test_adamw_moves_toward_minimum(self):
         import ssmocr.tensor as T
