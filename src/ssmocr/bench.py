@@ -1,9 +1,9 @@
 """Latency and inference-memory scaling measurements.
 
 Decoder cache sizes are computed by exact byte accounting, never sampled
-from the OS, so the growth table is bit-reproducible. Latency runs are
-strictly serial and report median plus median absolute deviation over
-repeats after discarding warmup runs.
+from the OS, so the growth table is bit-reproducible. Step-latency runs
+are strictly serial, with the cyclic collector off, and keep each step's
+median over passes.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import json
 import os
 import platform
 import time
-import tracemalloc
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +25,7 @@ ITEMSIZE = {"f32": 4, "f64": 8}
 
 
 class BenchConfigError(RuntimeError):
-    """Benchmark preconditions not met (threads, repeats, lengths)."""
+    """Benchmark preconditions not met (thread pinning)."""
 
 
 def thread_count() -> int:
@@ -101,7 +100,6 @@ class BenchRecord:
     latency_mad_ms: float
     throughput: float      # items per second at the median
     cache_bytes: int
-    peak_activation_bytes: int = 0
 
 
 @dataclass
@@ -168,56 +166,6 @@ def growth_table(models, lengths=DEFAULT_LENGTHS) -> GrowthTable:
 # timing
 
 
-def peak_allocation_bytes(fn) -> int:
-    """Allocator-tracked peak of one call (tracemalloc sees numpy buffers)."""
-    gc.collect()
-    tracemalloc.start()
-    try:
-        fn()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return int(peak)
-
-
-def measure_latency(fn, inputs, warmup: int = 2, repeats: int = 5,
-                    model_tag: str = "model", seq_len: int = 0,
-                    cache_bytes: int = 0, track_peak: bool = False) -> BenchRecord:
-    """Median / MAD wall time of fn(x) over all inputs per run."""
-    if repeats < 3:
-        raise BenchConfigError("repeats must be >= 3")
-    require_single_thread()
-    times = []
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for r in range(warmup + repeats):
-            t0 = time.perf_counter()
-            for x in inputs:
-                fn(x)
-            dt = time.perf_counter() - t0
-            if r >= warmup:
-                times.append(dt)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    peak = 0
-    if track_peak and inputs:
-        # outside the timing loop: tracemalloc slows allocation noticeably
-        peak = peak_allocation_bytes(lambda: fn(inputs[0]))
-    times = np.asarray(times)
-    med = float(np.median(times))
-    mad = float(np.median(np.abs(times - med)))
-    return BenchRecord(
-        model=model_tag, seq_len=seq_len,
-        latency_ms=med * 1e3 / max(len(inputs), 1),
-        latency_mad_ms=mad * 1e3 / max(len(inputs), 1),
-        throughput=len(inputs) / med if med > 0 else float("inf"),
-        cache_bytes=cache_bytes,
-        peak_activation_bytes=peak,
-    )
-
-
 def step_latencies(step_fn, n_steps: int, passes: int = 3) -> np.ndarray:
     """Per-step wall times, median over passes; step_fn(pass) must return
     a fresh callable advancing one generation step at a time."""
@@ -262,8 +210,8 @@ def write_latency_csv(path, records) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["model", "seq_len", "latency_ms", "latency_mad_ms",
-                    "throughput_per_s", "cache_bytes", "peak_activation_bytes"])
+                    "throughput_per_s", "cache_bytes"])
         for r in records:
             w.writerow([r.model, r.seq_len, f"{r.latency_ms:.4f}",
                         f"{r.latency_mad_ms:.4f}", f"{r.throughput:.3f}",
-                        r.cache_bytes, r.peak_activation_bytes])
+                        r.cache_bytes])

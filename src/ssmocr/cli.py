@@ -56,16 +56,13 @@ def cmd_synth(args) -> int:
 
 
 def _load_run_config(args):
+    """The config file's entries, updated by the ``--set`` entries."""
+    entries = {}
     if args.config:
-        cfg = load_config(args.config)
-        entries = parse_config_text("\n".join(args.set or []), "<cli>")
-        if entries:
-            merged = parse_config_text(Path(args.config).read_text(), args.config)
-            merged.update(entries)
-            cfg = config_from_mapping(merged)
-    else:
-        cfg = config_from_mapping(parse_config_text("\n".join(args.set or []), "<cli>"))
-    return cfg
+        with open(args.config, encoding="utf-8") as f:
+            entries = parse_config_text(f.read(), args.config)
+    entries.update(parse_config_text("\n".join(args.set or []), "<cli>"))
+    return config_from_mapping(entries)
 
 
 def cmd_train(args) -> int:

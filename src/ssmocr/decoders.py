@@ -552,11 +552,11 @@ class AttentionBaselineDecoder:
             ks = cache.keys[i].reshape(-1, self.n_heads, dh)
             vs = cache.values[i].reshape(-1, self.n_heads, dh)
             scores = np.einsum("hd,jhd->hj", q, ks) * inv_scale
-            attn = _softmax_np(scores)
+            attn = T.softmax_np(scores)
             ctx = np.einsum("hj,jhd->hd", attn, vs).reshape(self.d_model)
             x = x + ctx @ layer["wo"].data + layer["bo"].data
             xn = T.layernorm_np(x, layer["ln2_g"], layer["ln2_b"])
-            x = x + _gelu_np(xn @ layer["ffn_w1"].data + layer["ffn_b1"].data) \
+            x = x + T.gelu_np(xn @ layer["ffn_w1"].data + layer["ffn_b1"].data) \
                 @ layer["ffn_w2"].data + layer["ffn_b2"].data
         x = T.layernorm_np(x, self.final_g, self.final_b)
         return x @ self.w_out.data + self.b_out.data
@@ -578,16 +578,3 @@ class AttentionBaselineDecoder:
                 out[f"layer{i}.{k}"] = vv
         return out
 
-
-def _softmax_np(z):
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-_SQRT1_2 = 0.7071067811865476
-
-
-def _gelu_np(x):
-    from scipy.special import erf as _erf
-
-    return 0.5 * x * (1.0 + _erf(x * _SQRT1_2))

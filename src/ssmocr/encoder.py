@@ -203,8 +203,3 @@ def flatten_grid(grid: FeatureGrid) -> Tensor:
     """Row-major (top row left-to-right) flattening: index = r * W' + c."""
     h, w, d = grid.grid.shape
     return T.reshape(grid.grid, (h * w, d))
-
-
-def unflatten_grid(x: Tensor, h: int, w: int,
-                   origin_hw: tuple[int, int] = (0, 0)) -> FeatureGrid:
-    return FeatureGrid(T.reshape(x, (h, w, x.shape[1])), origin_hw)

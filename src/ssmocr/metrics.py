@@ -16,6 +16,43 @@ class UndefinedMetricError(ValueError):
     """Empty reference: the normalization N is zero."""
 
 
+def _alignment(mismatch, m):
+    """One minimal unit-cost alignment of n reference positions with m
+    hypothesis positions, where ``mismatch[i][j]`` is true when reference
+    position i does not match hypothesis position j.
+
+    Returns (distance, ops): ops run from start to end, one
+    (kind, i, j) per step, with i and j the reference and hypothesis
+    positions the step starts from. "align" pairs i with j (a match or a
+    substitution), "delete" consumes i alone and "insert" consumes j alone.
+    The backtrace from the end prefers align, then delete, then insert.
+    """
+    n = len(mismatch)
+    dist = [list(range(m + 1))]
+    for i, miss in enumerate(mismatch, start=1):
+        prev = dist[-1]
+        row = [i]
+        left = i
+        for diag, up, cost in zip(prev, prev[1:], miss):
+            left = min(diag + cost, up + 1, left + 1)
+            row.append(left)
+        dist.append(row)
+    ops = []
+    i, j = n, m
+    while i > 0 or j > 0:
+        if i > 0 and j > 0 and dist[i][j] == dist[i - 1][j - 1] + mismatch[i - 1][j - 1]:
+            i, j = i - 1, j - 1
+            ops.append(("align", i, j))
+        elif i > 0 and dist[i][j] == dist[i - 1][j] + 1:
+            i -= 1
+            ops.append(("delete", i, j))
+        else:
+            j -= 1
+            ops.append(("insert", i, j))
+    ops.reverse()
+    return dist[n][m], ops
+
+
 def edit_distance(ref, hyp):
     """Minimal unit-cost alignment via dynamic programming.
 
@@ -23,35 +60,13 @@ def edit_distance(ref, hyp):
     optimal backtrace; ties prefer substitution over deletion over
     insertion.
     """
-    ref = list(ref)
     hyp = list(hyp)
-    n, m = len(ref), len(hyp)
-    dist = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        dist[i][0] = i
-    for j in range(1, m + 1):
-        dist[0][j] = j
-    for i in range(1, n + 1):
-        row = dist[i]
-        prev = dist[i - 1]
-        ri = ref[i - 1]
-        for j in range(1, m + 1):
-            sub = prev[j - 1] + (ri != hyp[j - 1])
-            row[j] = min(sub, prev[j] + 1, row[j - 1] + 1)
-    s = d = ins = 0
-    i, j = n, m
-    while i > 0 or j > 0:
-        if i > 0 and j > 0 and dist[i][j] == dist[i - 1][j - 1] + (ref[i - 1] != hyp[j - 1]):
-            if ref[i - 1] != hyp[j - 1]:
-                s += 1
-            i, j = i - 1, j - 1
-        elif i > 0 and dist[i][j] == dist[i - 1][j] + 1:
-            d += 1
-            i -= 1
-        else:
-            ins += 1
-            j -= 1
-    return dist[n][m], s, d, ins
+    mismatch = [[r != h for h in hyp] for r in ref]
+    dist, ops = _alignment(mismatch, len(hyp))
+    s = sum(1 for kind, i, j in ops if kind == "align" and mismatch[i][j])
+    d = sum(1 for kind, _, _ in ops if kind == "delete")
+    ins = sum(1 for kind, _, _ in ops if kind == "insert")
+    return dist, s, d, ins
 
 
 def cer(ref: str, hyp: str, normalize: bool = False) -> float:

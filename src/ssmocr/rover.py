@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .metrics import _alignment
+
 EPS = ""  # the empty candidate inside a slot
 
 
@@ -42,31 +44,11 @@ def _align(network: list[Slot], hyp: str):
     anything else costs 1. Backtrace preference: match/substitute, then
     slot-deletion (epsilon), then insertion of a new slot.
     """
-    n, m = len(network), len(hyp)
-    dist = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        dist[i][0] = i
-    for j in range(1, m + 1):
-        dist[0][j] = j
-    for i in range(1, n + 1):
-        slot = network[i - 1]
-        for j in range(1, m + 1):
-            sub = dist[i - 1][j - 1] + (hyp[j - 1] not in slot.votes)
-            dist[i][j] = min(sub, dist[i - 1][j] + 1, dist[i][j - 1] + 1)
-    ops = []  # (kind, slot_index or None, char or None)
-    i, j = n, m
-    while i > 0 or j > 0:
-        if i > 0 and j > 0 and dist[i][j] == dist[i - 1][j - 1] + (hyp[j - 1] not in network[i - 1].votes):
-            ops.append(("align", i - 1, hyp[j - 1]))
-            i, j = i - 1, j - 1
-        elif i > 0 and dist[i][j] == dist[i - 1][j] + 1:
-            ops.append(("skip", i - 1, None))
-            i -= 1
-        else:
-            ops.append(("insert", i, hyp[j - 1]))
-            j -= 1
-    ops.reverse()
-    return ops
+    mismatch = [[ch not in slot.votes for ch in hyp] for slot in network]
+    _, ops = _alignment(mismatch, len(hyp))
+    # (kind, slot_index, char or None); an insert's index is the slot it precedes
+    return [("skip", i, None) if kind == "delete" else (kind, i, hyp[j])
+            for kind, i, j in ops]
 
 
 def rover_combine(hypotheses, weights=None) -> str:

@@ -301,11 +301,6 @@ class AugmentSpec:
             raise ValueError(f"unknown augment ops: {sorted(unknown)}")
 
 
-def add_gaussian_noise(img: np.ndarray, sigma: float, rng) -> np.ndarray:
-    out = img.astype(np.float64) + rng.normal(0.0, sigma, img.shape)
-    return np.clip(np.rint(out), 0, 255).astype(np.uint8)
-
-
 def _homography(src, dst) -> np.ndarray:
     a = []
     for (x, y), (u, v) in zip(src, dst):

@@ -193,15 +193,16 @@ def backward(loss: Tensor) -> None:
     popped and its outputs detached before its closure runs, so the node,
     the closure and the arrays only it holds are released as the walk
     goes. The loss itself is detached, and a second ``backward`` on it
-    raises TapeError.
+    raises TapeError. The tape is reset on every exit, a rejected loss
+    included.
     """
-    if loss.node is None:
-        raise TapeError("backward on a tensor that is not connected to the tape")
-    if loss.data.size != 1:
-        raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
     nodes = _tape.nodes
-    flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     try:
+        if loss.node is None:
+            raise TapeError("backward on a tensor that is not connected to the tape")
+        if loss.data.size != 1:
+            raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
+        flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
         while nodes:
             node = nodes.pop()
             outs = []
@@ -533,9 +534,20 @@ _SQRT1_2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
+def _gauss_cdf(x: np.ndarray) -> np.ndarray:
+    """Standard normal CDF of a raw array, 0.5 * (1 + erf(x / sqrt(2)))."""
+    return 0.5 * (1.0 + erf(x * x.dtype.type(_SQRT1_2)))
+
+
+def gelu_np(x: np.ndarray) -> np.ndarray:
+    """Exact GELU x * Phi(x) of a raw array, off the tape; bitwise equal to
+    ``gelu(Tensor(x)).data``."""
+    return x * _gauss_cdf(x)
+
+
 def gelu(x: Tensor) -> Tensor:
     xd = x.data
-    cdf = 0.5 * (1.0 + erf(xd * xd.dtype.type(_SQRT1_2)))
+    cdf = _gauss_cdf(xd)
     out = xd * cdf
 
     def bwd(g):
@@ -587,11 +599,15 @@ def exp(x: Tensor) -> Tensor:
     return custom_op("exp", out, (x,), lambda g: (g * out,))
 
 
+def softmax_np(x: np.ndarray) -> np.ndarray:
+    """Last-axis softmax of a raw array, shifted by the row maximum so
+    that exp cannot overflow; ``softmax_lastdim`` computes through it."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def softmax_lastdim(x: Tensor) -> Tensor:
-    xd = x.data
-    shifted = xd - xd.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = softmax_np(x.data)
 
     def bwd(g):
         dot = (g * y).sum(axis=-1, keepdims=True)

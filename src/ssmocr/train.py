@@ -254,10 +254,12 @@ def train_run(cfg: RunConfig, log=None) -> TrainResult:
         try:
             # divergence surfaces as NonFiniteError, not as numpy warnings
             with np.errstate(over="ignore", invalid="ignore"):
-                for sample, _ in batch:
+                for k, (sample, _) in enumerate(batch):
                     img = sample.image
                     if aug_spec is not None:
-                        seed = int(data_rng.integers(0, 2**31 - 1))
+                        # keyed by (augment.seed, step, slot): resume needs no
+                        # extra state, and batch draws do not depend on it
+                        seed = np.random.SeedSequence([cfg.augment_seed, step, k])
                         img = augment(img, dataclasses.replace(aug_spec, seed=seed))
                     loss = model.loss(img, sample.transcript)
                     T.backward(T.mul(loss, 1.0 / len(batch)))

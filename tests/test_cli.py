@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from ssmocr.cli import _load_run_config, build_parser
 from ssmocr.pgm import write_pgm
 from ssmocr.synth import GlyphSet, render_line
 
@@ -119,6 +120,14 @@ class TestTrainEvalDecode:
         r = run_cli("train", "--config", str(cfg))
         assert r.returncode == 1
         assert "model.depth" in r.stderr
+
+    def test_set_overrides_config_file(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model.d = 16\nseed = 1\nout.dir = runs/é\n", encoding="utf-8")
+        args = build_parser().parse_args(
+            ["train", "--config", str(cfg), "--set", "model.d=32"])
+        run = _load_run_config(args)
+        assert (run.d_model, run.seed, run.out_dir) == (32, 1, "runs/é")
 
 
 class TestBench:

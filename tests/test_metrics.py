@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ssmocr import metrics as M
+from ssmocr.rover import Slot, _align
 
 
 def dp_distance_oracle(a, b):
@@ -72,6 +73,22 @@ class TestEditDistance:
             dbc = M.edit_distance(b, c)[0]
             dac = M.edit_distance(a, c)[0]
             assert dac <= dab + dbc
+
+
+    def test_rover_alignment_counts_match(self):
+        # one candidate per slot makes the ROVER alignment an edit alignment
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            a, b = random_string(rng), random_string(rng)
+            network = []
+            for ch in a:
+                network.append(Slot())
+                network[-1].add(ch, 1.0, 0)
+            ops = _align(network, b)
+            s = sum(1 for kind, i, ch in ops if kind == "align" and ch != a[i])
+            d = sum(1 for kind, _, _ in ops if kind == "skip")
+            ins = sum(1 for kind, _, _ in ops if kind == "insert")
+            assert (s, d, ins) == M.edit_distance(a, b)[1:]
 
 
 class TestCer:

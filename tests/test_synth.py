@@ -95,9 +95,9 @@ class TestAugment:
         assert not np.array_equal(a, c)
 
     def test_noise_statistics(self):
-        rng = np.random.default_rng(0)
         img = np.full((1000, 1000), 128, dtype=np.uint8)
-        out = S.add_gaussian_noise(img, 10.0, rng).astype(np.float64)
+        spec = S.AugmentSpec(ops=("noise",), prob=1.0, noise_sigma=(10.0, 10.0))
+        out = S.augment(img, spec).astype(np.float64)
         assert abs(out.mean() - 128.0) <= 1.0
         assert abs(out.std() - 10.0) <= 1.0
 

@@ -277,6 +277,17 @@ class TestActivations:
         assert raw.dtype == x.data.dtype
         assert np.array_equal(raw, T.layernorm_lastdim(x, g, b).data)
 
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("shape", [(8,), (5, 8)])
+    def test_gelu_and_softmax_kernels_equal_tape_ops(self, dtype, shape):
+        # the attention decode step calls the raw kernels, the batch path the ops
+        rng = np.random.default_rng(7)
+        x = T.Tensor(rng.standard_normal(shape) * 4.0, dtype=dtype)
+        for raw, op in ((T.gelu_np(x.data), T.gelu(x)),
+                        (T.softmax_np(x.data), T.softmax_lastdim(x))):
+            assert raw.dtype == x.data.dtype
+            assert np.array_equal(raw, op.data)
+
     def test_activation_dispatch(self):
         x = T.Tensor([1.0, -1.0])
         assert np.allclose(T.activation("silu", x).data, T.silu(x).data)
@@ -321,8 +332,10 @@ class TestBackward:
         assert np.isclose(x.grad[0], 2.0 + 2.0 * 1.5)
 
     def test_detached_tensor_errors(self):
+        T.exp(T.Tensor([1.0], requires_grad=True))  # a node on the tape
         with pytest.raises(T.TapeError):
             T.backward(T.Tensor([1.0]))
+        assert len(T.active_tape()) == 0
 
     def test_consumed_loss_is_detached(self):
         x = T.Tensor([2.0], dtype="f64", requires_grad=True)
@@ -366,6 +379,7 @@ class TestBackward:
         x = T.Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(T.ShapeError):
             T.backward(T.mul(x, 2.0))
+        assert len(T.active_tape()) == 0
 
     def test_composite_chain_matches_finite_differences(self):
         rng = np.random.default_rng(5)

@@ -236,6 +236,31 @@ class TestTraining:
         assert err.value.batch_ids
         assert len(T.active_tape()) == 0  # the failed forward left no nodes
 
+    def test_augment_seed_keys_the_augmentation(self, tiny_dataset, tmp_path,
+                                                monkeypatch):
+        drawn = []  # the source image of every augmented sample, in order
+        real_augment = TR.augment
+
+        def recording_augment(img, spec):
+            drawn.append(img.tobytes())
+            return real_augment(img, spec)
+
+        monkeypatch.setattr(TR, "augment", recording_augment)
+
+        def run(tag, augment_seed):
+            drawn.clear()
+            res = TR.train_run(tiny_cfg(tmp_path / tag, tiny_dataset, augment=True,
+                                        augment_prob=1.0, augment_seed=augment_seed))
+            return res.loss_history, list(drawn)
+
+        loss_a, batches_a = run("a", 3)
+        loss_b, batches_b = run("b", 3)
+        loss_c, batches_c = run("c", 4)
+        assert loss_a == loss_b
+        assert loss_a != loss_c
+        assert len(batches_a) == 8
+        assert batches_a == batches_b == batches_c
+
     def test_adamw_moves_toward_minimum(self):
         import ssmocr.tensor as T
         x = T.Tensor(np.array([5.0]), dtype="f64", requires_grad=True)
