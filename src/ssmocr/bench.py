@@ -112,7 +112,6 @@ class GrowthRow:
 
 @dataclass
 class GrowthTable:
-    base_length: int
     rows: list = field(default_factory=list)
 
     def add_model(self, model_tag: str, lengths, bytes_fn) -> None:
@@ -156,7 +155,7 @@ def growth_table(models, lengths=DEFAULT_LENGTHS) -> GrowthTable:
     lengths = list(lengths)
     if lengths != sorted(lengths):
         raise ValueError("lengths must be sorted ascending (first is the base)")
-    table = GrowthTable(base_length=lengths[0])
+    table = GrowthTable()
     for tag, fn in models:
         table.add_model(tag, lengths, fn)
     return table

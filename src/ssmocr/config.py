@@ -66,8 +66,6 @@ class RunConfig:
     # encoder
     enc_channels: tuple = (16, 32, 64, 128)
     enc_pooling: tuple = ((2, 2), (2, 2), (2, 2), (2, 1), (2, 1))
-    enc_norm: str = "batch"
-    enc_act: str = "silu"
     pad_min_h: int = 32
     pad_min_w: int = 16
     # optimizer
@@ -103,6 +101,9 @@ class RunConfig:
                 f"unknown model.kind {self.model_kind!r}; one of {MODEL_KINDS}")
         if self.preset not in PRESETS:
             raise ConfigError(f"unknown model.preset {self.preset!r}")
+        for key, value in (("seed", self.seed), ("augment.seed", self.augment_seed)):
+            if value < 0:
+                raise ConfigError(f"{key} must be non-negative, got {value}")
 
 
 # dotted config key -> (attribute, parser)
@@ -117,8 +118,6 @@ KEYMAP = {
     "model.max_len": ("max_len", int),
     "encoder.channels": ("enc_channels", _parse_ints),
     "encoder.pooling": ("enc_pooling", _parse_pooling),
-    "encoder.norm": ("enc_norm", str),
-    "encoder.act": ("enc_act", str),
     "encoder.pad_min_h": ("pad_min_h", int),
     "encoder.pad_min_w": ("pad_min_w", int),
     "optim.lr": ("lr", float),
@@ -144,6 +143,10 @@ KEYMAP = {
     "out.dir": ("out_dir", str),
     "seed": ("seed", int),
 }
+
+# keys echoed by checkpoints from before the encoder had one fixed recipe,
+# with the only values that recipe matches
+RETIRED_KEYS = {"encoder.norm": "batch", "encoder.act": "silu"}
 
 # preset defaults applied before explicit keys
 PRESET_OVERRIDES = {
@@ -211,4 +214,9 @@ def config_to_mapping(cfg: RunConfig) -> dict[str, str]:
 
 def config_from_checkpoint_mapping(mapping: dict[str, str]) -> RunConfig:
     entries = {k: v for k, v in mapping.items() if v != ""}
+    for key, value in RETIRED_KEYS.items():
+        found = entries.pop(key, value)
+        if found != value:
+            raise ConfigError(f"checkpoint sets retired key {key!r} to {found!r}; "
+                              f"the encoder only runs {value!r}")
     return config_from_mapping(entries)

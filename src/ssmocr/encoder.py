@@ -1,6 +1,6 @@
 """CNN feature extractor with 2D positional encoding.
 
-Five conv/norm/activation/pool stages map a grayscale image to a
+Five conv3x3/batchnorm/SiLU/max-pool stages map a grayscale image to a
 (H', W', D) grid, a fixed sinusoidal encoding marks row and column
 positions, and row-major flattening yields the visual sequence every
 decoding head consumes.
@@ -14,11 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .config import ConfigError
 from .tensor import Tensor
-
-
-class ConfigError(ValueError):
-    """Encoder configuration violates a structural constraint."""
 
 
 class InputError(ValueError):
@@ -26,6 +23,7 @@ class InputError(ValueError):
 
 
 DEFAULT_CHANNELS = (16, 32, 64, 128)  # stage 5 outputs d_model
+KERNEL = 3  # square conv kernel of every stage
 DEFAULT_POOLING = ((2, 2), (2, 2), (2, 2), (2, 2), (2, 1))
 
 
@@ -33,10 +31,7 @@ DEFAULT_POOLING = ((2, 2), (2, 2), (2, 2), (2, 2), (2, 1))
 class EncoderConfig:
     d_model: int = 64
     channels: tuple = DEFAULT_CHANNELS  # first four stages
-    kernel: int = 3
     pooling: tuple = DEFAULT_POOLING
-    norm: str = "batch"       # batch | instance | none
-    act: str = "silu"
     pad_min_h: int = 100      # white-padding minima applied by prepare_image
     pad_min_w: int = 1000
 
@@ -45,8 +40,6 @@ class EncoderConfig:
             raise ConfigError("encoder needs a 5-stage channel schedule")
         if len(self.pooling) != 5:
             raise ConfigError("encoder needs a 5-stage pooling schedule")
-        if self.norm not in ("batch", "instance", "none"):
-            raise ConfigError(f"unknown norm kind {self.norm!r}")
 
     @property
     def schedule(self) -> tuple:
@@ -94,8 +87,7 @@ def prepare_image(img: np.ndarray, min_h: int, min_w: int) -> np.ndarray:
 
 @dataclass
 class FeatureGrid:
-    grid: Tensor                 # (H', W', D)
-    origin_hw: tuple[int, int]   # image extents before flattening
+    grid: Tensor  # (H', W', D)
 
     @property
     def height(self) -> int:
@@ -107,7 +99,7 @@ class FeatureGrid:
 
 
 class ConvEncoder:
-    """Five (conv -> norm -> activation -> pool) stages."""
+    """Five (conv3x3 -> batchnorm -> SiLU -> max-pool) stages."""
 
     def __init__(self, config: EncoderConfig, rng=None, dtype="f32"):
         rng = np.random.default_rng() if rng is None else rng
@@ -116,19 +108,17 @@ class ConvEncoder:
         self.stages = []
         self.buffers_: dict[str, np.ndarray] = {}
         c_in = 1
-        k = config.kernel
         for s, c_out in enumerate(config.schedule):
-            bound = 1.0 / np.sqrt(c_in * k * k)
-            w = Tensor(rng.uniform(-bound, bound, (c_out, c_in, k, k)),
+            bound = 1.0 / np.sqrt(c_in * KERNEL * KERNEL)
+            w = Tensor(rng.uniform(-bound, bound, (c_out, c_in, KERNEL, KERNEL)),
                        dtype=dtype, requires_grad=True)
             b = Tensor(np.zeros(c_out), dtype=dtype, requires_grad=True)
             ng = Tensor(np.ones(c_out), dtype=dtype, requires_grad=True)
             nb = Tensor(np.zeros(c_out), dtype=dtype, requires_grad=True)
             self.stages.append({"w": w, "b": b, "norm_g": ng, "norm_b": nb,
                                 "pool": tuple(config.pooling[s])})
-            if config.norm == "batch":
-                self.buffers_[f"stage{s}.running_mean"] = np.zeros(c_out, dtype=np.float64)
-                self.buffers_[f"stage{s}.running_var"] = np.ones(c_out, dtype=np.float64)
+            self.buffers_[f"stage{s}.running_mean"] = np.zeros(c_out, dtype=np.float64)
+            self.buffers_[f"stage{s}.running_var"] = np.ones(c_out, dtype=np.float64)
             c_in = c_out
 
     def forward(self, image: np.ndarray) -> FeatureGrid:
@@ -146,20 +136,14 @@ class ConvEncoder:
         dt = self.stages[0]["w"].dtype
         x = Tensor(image[None, :, :], dtype=dt)
         for s, st in enumerate(self.stages):
-            x = T.conv2d(x, st["w"], st["b"], stride=1, padding=cfg.kernel // 2)
-            if cfg.norm == "batch":
-                x = T.batchnorm2d(x, st["norm_g"], st["norm_b"],
-                                  self.buffers_[f"stage{s}.running_mean"],
-                                  self.buffers_[f"stage{s}.running_var"],
-                                  training=self.training)
-            elif cfg.norm == "instance":
-                dummy_m = np.zeros(x.shape[0])
-                dummy_v = np.ones(x.shape[0])
-                x = T.batchnorm2d(x, st["norm_g"], st["norm_b"], dummy_m, dummy_v,
-                                  training=True, momentum=0.0)
-            x = T.activation(cfg.act, x)
+            x = T.conv2d(x, st["w"], st["b"], stride=1, padding=KERNEL // 2)
+            x = T.batchnorm2d(x, st["norm_g"], st["norm_b"],
+                              self.buffers_[f"stage{s}.running_mean"],
+                              self.buffers_[f"stage{s}.running_var"],
+                              training=self.training)
+            x = T.silu(x)
             x = T.maxpool2d(x, st["pool"])
-        return FeatureGrid(T.permute(x, (1, 2, 0)), (h, w))
+        return FeatureGrid(T.permute(x, (1, 2, 0)))
 
     def params(self) -> dict[str, Tensor]:
         out = {}
@@ -196,7 +180,7 @@ def positional_encoding_2d(h: int, w: int, d: int, dtype=np.float32) -> np.ndarr
 def positional_encode_2d(grid: FeatureGrid) -> FeatureGrid:
     h, w, d = grid.grid.shape
     pe = positional_encoding_2d(h, w, d, dtype=grid.grid.data.dtype)
-    return FeatureGrid(T.add(grid.grid, Tensor(pe)), grid.origin_hw)
+    return FeatureGrid(T.add(grid.grid, Tensor(pe)))
 
 
 def flatten_grid(grid: FeatureGrid) -> Tensor:

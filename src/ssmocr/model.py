@@ -22,22 +22,20 @@ class TranscribeResult:
 
 
 class OcrModel:
-    def __init__(self, kind: str, vocabulary: Vocabulary, cfg: RunConfig,
-                 rng=None, dtype="f32"):
-        rng = np.random.default_rng() if rng is None else rng
+    def __init__(self, kind: str, vocabulary: Vocabulary, cfg: RunConfig, rng):
         self.kind = kind
         self.vocab = vocabulary
         self.cfg = cfg
         enc_cfg = EncoderConfig(
             d_model=cfg.d_model, channels=tuple(cfg.enc_channels),
-            pooling=tuple(cfg.enc_pooling), norm=cfg.enc_norm, act=cfg.enc_act,
+            pooling=tuple(cfg.enc_pooling),
             pad_min_h=cfg.pad_min_h, pad_min_w=cfg.pad_min_w,
         )
-        self.encoder = ConvEncoder(enc_cfg, rng=rng, dtype=dtype)
+        self.encoder = ConvEncoder(enc_cfg, rng=rng)
         self.connector = BiMambaConnector(cfg.d_model, n_state=cfg.n_state,
-                                          expand=cfg.expand, rng=rng, dtype=dtype)
+                                          expand=cfg.expand, rng=rng)
         common = dict(n_layers=cfg.layers, n_state=cfg.n_state,
-                      expand=cfg.expand, rng=rng, dtype=dtype)
+                      expand=cfg.expand, rng=rng)
         if kind == "mamba-ctc":
             self.decoder = CtcDecoder(cfg.d_model, vocabulary.ctc_size, **common)
         elif kind == "mamba-ar":
@@ -49,7 +47,7 @@ class OcrModel:
         elif kind == "attn-ar-baseline":
             self.decoder = AttentionBaselineDecoder(
                 cfg.d_model, vocabulary.size, n_layers=cfg.layers, n_heads=4,
-                max_len=cfg.max_len, rng=rng, dtype=dtype)
+                max_len=cfg.max_len, rng=rng)
         else:
             raise ValueError(f"unknown model kind {kind!r}")
 
@@ -99,7 +97,7 @@ class OcrModel:
         return {f"encoder.{k}": v for k, v in self.encoder.buffers().items()}
 
 
-def build_model(cfg: RunConfig, vocabulary: Vocabulary, dtype="f32") -> OcrModel:
+def build_model(cfg: RunConfig, vocabulary: Vocabulary) -> OcrModel:
     """Deterministic construction: all weights come from the config seed."""
     rng = np.random.default_rng([cfg.seed, 0])
-    return OcrModel(cfg.model_kind, vocabulary, cfg, rng=rng, dtype=dtype)
+    return OcrModel(cfg.model_kind, vocabulary, cfg, rng=rng)

@@ -89,6 +89,16 @@ def _zoh_np(a: np.ndarray, delta: np.ndarray):
     return a_bar, r, small
 
 
+def _causal_conv_np(x: np.ndarray, w: np.ndarray, b: np.ndarray):
+    """Depthwise causal conv of x (L, C) with taps w (C, K) and bias b (C,):
+    returns y (L, C) and the zero-history window view (L, K, C) it read."""
+    k = w.shape[1]
+    xp = np.pad(x, ((k - 1, 0), (0, 0)))
+    sr, sc = xp.strides
+    win = np.lib.stride_tricks.as_strided(xp, (x.shape[0], k, x.shape[1]), (sr, sr, sc))
+    return np.einsum("tkc,ck->tc", win, w) + b, win
+
+
 def _silu_np(x):
     return x * T.sigmoid_np(x)
 
@@ -204,14 +214,11 @@ def causal_conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise T.ShapeError(f"causal_conv1d: x {x.shape} vs w {w.shape}")
     k = wd.shape[1]
     n, ch = xd.shape
-    xp = np.pad(xd, ((k - 1, 0), (0, 0)))
-    sr, sc = xp.strides
-    win = np.lib.stride_tricks.as_strided(xp, (n, k, ch), (sr, sr, sc))
-    y = np.einsum("tkc,ck->tc", win, wd) + b.data
+    y, win = _causal_conv_np(xd, wd, b.data)
 
     def bwd(g):
         gw = np.einsum("tc,tkc->ck", g, win)
-        gxp = np.zeros_like(xp)
+        gxp = np.zeros((n + k - 1, ch), dtype=xd.dtype)
         for j in range(k):
             gxp[j : j + n] += g * wd[:, j]
         return np.ascontiguousarray(gxp[k - 1 :]), gw, g.sum(axis=0)
@@ -276,11 +283,11 @@ class SsmParams:
             "dt_bias": self.dt_bias, "d_skip": self.d_skip,
         }
 
-    # numpy-side projections used by the recurrent step
+    # numpy-side projections of one row (I,) or a sequence (L, I), off the tape
     def _project_np(self, u: np.ndarray):
         b = u @ self.w_b.data + self.b_b.data
         c = u @ self.w_c.data + self.b_c.data
-        delta = T.softplus_np(float(u @ self.w_dt.data[:, 0]) + self.dt_bias.data)
+        delta = T.softplus_np(u @ self.w_dt.data + self.dt_bias.data)
         return b, c, delta
 
 
@@ -296,9 +303,6 @@ class RecurrentState:
     @property
     def nbytes(self) -> int:
         return self.h.nbytes + self.conv_buf.nbytes
-
-    def copy(self) -> "RecurrentState":
-        return RecurrentState(self.h.copy(), self.conv_buf.copy())
 
 
 class MambaBlock:
@@ -362,14 +366,8 @@ class MambaBlock:
         i = self.d_inner
         xz = x @ self.w_in.data + self.b_in.data
         main, gate = xz[:, :i], xz[:, i:]
-        k = CONV_WIDTH
-        xp = np.pad(main, ((k - 1, 0), (0, 0)))
-        sr, sc = xp.strides
-        win = np.lib.stride_tricks.as_strided(xp, (x.shape[0], k, i), (sr, sr, sc))
-        u = _silu_np(np.einsum("tkc,ck->tc", win, self.conv_w.data) + self.conv_b.data)
-        b = u @ self.ssm.w_b.data + self.ssm.b_b.data
-        c = u @ self.ssm.w_c.data + self.ssm.b_c.data
-        delta = T.softplus_np(u @ self.ssm.w_dt.data + self.ssm.dt_bias.data)
+        u = _silu_np(_causal_conv_np(main, self.conv_w.data, self.conv_b.data)[0])
+        b, c, delta = self.ssm._project_np(u)
         a = -np.exp(self.ssm.a_log.data)
         a_bar, r, _ = _zoh_np(a, delta)
         h = _scan_sequential(a_bar, (r * b[:, None, :]) * u[:, :, None])
@@ -378,7 +376,7 @@ class MambaBlock:
         state = self.init_state()
         if x.shape[0]:
             state.h = h[-1].copy()
-            tail = min(k - 1, x.shape[0])
+            tail = min(CONV_WIDTH - 1, x.shape[0])
             if tail:
                 state.conv_buf[-tail:] = main[-tail:]
         return out, state

@@ -196,9 +196,6 @@ class GlyphSet:
         )
         return bits
 
-    def has(self, ch: str) -> bool:
-        return ch in self.glyphs
-
     def coverage(self, text: str) -> set[str]:
         """Characters in text without a native glyph."""
         return {ch for ch in text if ch not in self.glyphs}

@@ -23,6 +23,8 @@ from scipy.special import erf
 F32 = np.dtype(np.float32)
 F64 = np.dtype(np.float64)
 LN_EPS = 1e-5  # layernorm epsilon
+BN_EPS = 1e-5  # batchnorm epsilon
+BN_MOMENTUM = 0.1  # weight of the newest sample in the batchnorm running stats
 
 
 class ShapeError(ValueError):
@@ -87,9 +89,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -656,29 +655,6 @@ def layernorm_lastdim(x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
     return custom_op("layernorm", out, (x, scale, shift), bwd)
 
 
-_ACTIVATIONS = {
-    "gelu": gelu,
-    "silu": silu,
-    "softplus": softplus,
-    "exp": exp,
-    "softmax_lastdim": softmax_lastdim,
-}
-
-
-def activation(kind: str, x: Tensor, scale: Tensor | None = None,
-               shift: Tensor | None = None) -> Tensor:
-    """Dispatch on kind; layernorm_lastdim requires learned scale/shift."""
-    if kind == "layernorm_lastdim":
-        if scale is None or shift is None:
-            raise ShapeError("layernorm_lastdim requires scale and shift")
-        return layernorm_lastdim(x, scale, shift)
-    try:
-        fn = _ACTIVATIONS[kind]
-    except KeyError:
-        raise ShapeError(f"unknown activation kind {kind!r}") from None
-    return fn(x)
-
-
 def _channel_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """sum over (h, w) of a * b per channel of (C, H, W), as C BLAS dots."""
     c = a.shape[0]
@@ -687,8 +663,7 @@ def _channel_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def batchnorm2d(x: Tensor, scale: Tensor, shift: Tensor,
                 running_mean: np.ndarray, running_var: np.ndarray,
-                training: bool, momentum: float = 0.1,
-                eps: float = 1e-5) -> Tensor:
+                training: bool) -> Tensor:
     """Per-channel normalization of (C, H, W).
 
     Training mode normalizes with the sample's own spatial statistics and
@@ -712,14 +687,14 @@ def batchnorm2d(x: Tensor, scale: Tensor, shift: Tensor,
         xhat = xd - mu[:, None, None]
         var = _channel_dot(xhat, xhat) / n
         unbiased = var * (n / max(n - 1, 1))
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mu.astype(running_mean.dtype)
-        running_var *= 1.0 - momentum
-        running_var += momentum * unbiased.astype(running_var.dtype)
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mu.astype(running_mean.dtype)
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * unbiased.astype(running_var.dtype)
     else:
         var = running_var.astype(dt)
         xhat = xd - running_mean.astype(dt)[:, None, None]
-    inv = 1.0 / np.sqrt(var + dt.type(eps))
+    inv = 1.0 / np.sqrt(var + dt.type(BN_EPS))
     xhat *= inv[:, None, None]
     out = xhat * scale.data[:, None, None]
     out += shift.data[:, None, None]

@@ -9,8 +9,8 @@ from ssmocr import tensor as T
 from ssmocr.tensor import Tensor
 
 
-def make_encoder(seed=0, d=16, norm="batch"):
-    cfg = E.EncoderConfig(d_model=d, channels=(4, 4, 8, 8), norm=norm,
+def make_encoder(seed=0, d=16):
+    cfg = E.EncoderConfig(d_model=d, channels=(4, 4, 8, 8),
                           pad_min_h=32, pad_min_w=16)
     return E.ConvEncoder(cfg, rng=np.random.default_rng(seed)), cfg
 
@@ -45,7 +45,7 @@ class TestShapes:
             enc.forward(np.zeros((8, 4), dtype=np.float32))
 
     def test_zero_image_zero_biases_gives_zero_grid(self):
-        enc, _ = make_encoder(norm="none")
+        enc, _ = make_encoder()
         for name, p in enc.params().items():
             if name.endswith(".b") or name.endswith("norm_b"):
                 p.data[...] = 0.0
@@ -53,7 +53,7 @@ class TestShapes:
         assert np.all(grid.grid.data == 0)
 
     def test_eval_mode_determinism(self):
-        enc, _ = make_encoder(norm="batch")
+        enc, _ = make_encoder()
         enc.training = False
         img = np.random.default_rng(2).random((40, 64)).astype(np.float32)
         a = enc.forward(img).grid.data.tobytes()
@@ -65,8 +65,6 @@ class TestShapes:
             E.EncoderConfig(channels=(4, 4, 8))
         with pytest.raises(E.ConfigError):
             E.EncoderConfig(pooling=((2, 2),) * 3)
-        with pytest.raises(E.ConfigError):
-            E.EncoderConfig(norm="spectral")
 
 
 class TestPrepareImage:
@@ -114,7 +112,7 @@ class TestPositionalEncoding:
             E.positional_encoding_2d(2, 2, 6)
 
     def test_translation_sensitivity(self):
-        enc, _ = make_encoder(norm="none")
+        enc, _ = make_encoder()
         img1 = np.ones((32, 64), dtype=np.float32)
         img2 = img1.copy()
         img1[8:16, 8:16] = 0.0
@@ -127,18 +125,18 @@ class TestPositionalEncoding:
 class TestFlatten:
     def test_single_row_preserves_order(self):
         g = Tensor(np.arange(12, dtype=np.float64).reshape(1, 4, 3))
-        flat = E.flatten_grid(E.FeatureGrid(g, (1, 4)))
+        flat = E.flatten_grid(E.FeatureGrid(g))
         assert np.array_equal(flat.data, g.data[0])
 
     def test_row_major_enumeration(self):
         tags = np.arange(4, dtype=np.float64).reshape(2, 2, 1)
-        flat = E.flatten_grid(E.FeatureGrid(Tensor(tags), (2, 2)))
+        flat = E.flatten_grid(E.FeatureGrid(Tensor(tags)))
         assert np.array_equal(flat.data[:, 0], [0, 1, 2, 3])
 
     def test_roundtrip(self):
         rng = np.random.default_rng(3)
         g = Tensor(rng.standard_normal((3, 5, 4)))
-        flat = E.flatten_grid(E.FeatureGrid(g, (3, 5)))
+        flat = E.flatten_grid(E.FeatureGrid(g))
         assert np.array_equal(flat.data, g.data.reshape(15, 4))
 
 

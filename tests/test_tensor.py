@@ -288,14 +288,6 @@ class TestActivations:
             assert raw.dtype == x.data.dtype
             assert np.array_equal(raw, op.data)
 
-    def test_activation_dispatch(self):
-        x = T.Tensor([1.0, -1.0])
-        assert np.allclose(T.activation("silu", x).data, T.silu(x).data)
-        with pytest.raises(T.ShapeError, match="unknown activation"):
-            T.activation("tanh", x)
-        with pytest.raises(T.ShapeError, match="scale"):
-            T.activation("layernorm_lastdim", x)
-
     def test_exp_overflow_is_an_error(self):
         with pytest.raises(T.NonFiniteError):
             T.exp(T.Tensor([800.0], dtype="f64"))

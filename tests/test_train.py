@@ -14,6 +14,19 @@ from ssmocr.synth import SynthConfig, make_dataset
 from ssmocr.vocab import Vocabulary
 
 
+# every RunConfig field set away from its default
+NON_DEFAULT = dict(
+    model_kind="attn-ar-baseline", preset="paper", seed=7, d_model=48, n_state=8,
+    expand=3, layers=2, t_max=90, max_len=300, enc_channels=(8, 8, 16, 16),
+    enc_pooling=((2, 2), (2, 2), (2, 1), (2, 1), (2, 1)), pad_min_h=40, pad_min_w=24,
+    lr=3e-4, beta1=0.8, beta2=0.99, weight_decay=0.0, clip_norm=2.5, batch_size=3,
+    max_steps=17, eval_every=5, target_cer=1.5, resume="runs/a/last.ckpt",
+    curriculum=True, ramp_steps=50, max_lines=4, synth_mix=0.25, augment=True,
+    augment_prob=0.75, augment_seed=9, train_manifest="train.tsv",
+    valid_manifest="valid.tsv", synth_manifest="synth.tsv", out_dir="runs/b",
+)
+
+
 class TestConfig:
     def test_parse_key_value_with_comments(self):
         text = """
@@ -57,6 +70,40 @@ class TestConfig:
     def test_unknown_kind_rejected(self):
         with pytest.raises(CFG.ConfigError, match="model.kind"):
             CFG.config_from_mapping({"model.kind": "gru-ctc"})
+
+    @pytest.mark.parametrize("key", ["seed", "augment.seed"])
+    def test_negative_seed_rejected(self, key):
+        with pytest.raises(CFG.ConfigError, match=key):
+            CFG.config_from_mapping({key: "-1"})
+
+    def test_keymap_has_exactly_one_key_per_field(self):
+        attrs = [attr for attr, _ in CFG.KEYMAP.values()]
+        assert len(set(attrs)) == len(attrs)
+        assert set(attrs) == {f.name for f in dataclasses.fields(CFG.RunConfig)}
+
+    def test_every_field_roundtrips_through_the_echo(self):
+        cfg = CFG.RunConfig(**NON_DEFAULT)
+        default = CFG.RunConfig()
+        for f in dataclasses.fields(cfg):
+            assert getattr(cfg, f.name) != getattr(default, f.name), f.name
+        assert CFG.config_from_checkpoint_mapping(CFG.config_to_mapping(cfg)) == cfg
+
+    def test_echo_with_retired_encoder_keys_loads(self):
+        # checkpoints from before the encoder had one recipe echo both keys
+        cfg = CFG.RunConfig(**NON_DEFAULT)
+        echo = dict(CFG.config_to_mapping(cfg), **{"encoder.norm": "batch",
+                                                   "encoder.act": "silu"})
+        assert CFG.config_from_checkpoint_mapping(echo) == cfg
+
+    @pytest.mark.parametrize("key,value", [("encoder.norm", "instance"),
+                                           ("encoder.act", "gelu")])
+    def test_retired_encoder_key_rejected_unless_it_matches(self, key, value):
+        echo = dict(CFG.config_to_mapping(CFG.RunConfig()), **{key: value})
+        with pytest.raises(CFG.ConfigError, match=key):
+            CFG.config_from_checkpoint_mapping(echo)
+        default_value = CFG.RETIRED_KEYS[key]
+        with pytest.raises(CFG.ConfigError, match=f"unknown config key '{key}'"):
+            CFG.config_from_mapping({key: default_value})
 
 
 def tiny_cfg(tmp_path, manifest, **kw):
