@@ -39,6 +39,12 @@ def _parse_pooling(v: str) -> tuple:
     return tuple(out)
 
 
+def _positive_ints(v, n: int) -> bool:
+    """v is a tuple or list of exactly n positive ints."""
+    return (isinstance(v, (tuple, list)) and len(v) == n
+            and all(isinstance(x, int) and x > 0 for x in v))
+
+
 def _fmt(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -104,6 +110,19 @@ class RunConfig:
         for key, value in (("seed", self.seed), ("augment.seed", self.augment_seed)):
             if value < 0:
                 raise ConfigError(f"{key} must be non-negative, got {value}")
+        if self.batch_size < 1:
+            raise ConfigError(f"train.batch_size must be at least 1, got {self.batch_size}")
+        if self.d_model <= 0 or self.d_model % 4:
+            raise ConfigError(
+                f"model.d must be a positive multiple of 4, got {self.d_model}")
+        if not _positive_ints(self.enc_channels, 4):
+            raise ConfigError(
+                f"encoder.channels must be 4 positive ints, got {self.enc_channels!r}")
+        pooling = self.enc_pooling
+        if not (isinstance(pooling, (tuple, list)) and len(pooling) == 5
+                and all(_positive_ints(p, 2) for p in pooling)):
+            raise ConfigError(
+                f"encoder.pooling must be 5 positive pairs, got {self.enc_pooling!r}")
 
 
 # dotted config key -> (attribute, parser)

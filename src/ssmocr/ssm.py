@@ -4,6 +4,8 @@ A diagonal linear recurrence h_t = a_t * h_(t-1) + b_t with
 input-dependent coefficients. The sequential recurrence, O(L) work, is
 the production path on a CPU (tape forward, adjoint and prefill); the
 log-depth doubling scan, O(L log L) work, is kept only as its cross-check.
+Discretisation, and in the prefill also the scan and the readout, walk
+the sequence in row blocks whose (rows, I, N) temporaries fit in cache.
 The MambaBlock wraps the scan in the canonical gated block (in-projection,
 depthwise causal conv, SiLU, skip gain), and the BiMambaConnector runs one
 shared block over both temporal directions with additive fusion.
@@ -21,16 +23,27 @@ from .tensor import Tensor
 CONV_WIDTH = 4
 ZOH_SERIES_CUTOFF = 1e-6
 DT_INIT_RANGE = (1e-3, 1e-1)  # softplus(dt_bias) lands here
+# (rows, I, N) elements in one ZOH row block: the block's f32 temporaries
+# (256 KiB each) stay in a core's L2 instead of streaming through memory
+ZOH_BLOCK_ELEMS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
 # numpy kernels shared by the tape ops and the recurrent step
 
 
-def _scan_sequential(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Recurrence h_t = a_t * h_(t-1) + b_t, h_0 = 0, step by step in place."""
-    out = np.empty_like(b)
-    out[:1] = b[:1]
+def _scan_sequential(a: np.ndarray, b: np.ndarray, h0: np.ndarray | None = None,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """Recurrence h_t = a_t * h_(t-1) + b_t, step by step, written into out
+    (fresh when None); h_(-1) = h0, or zero when h0 is None."""
+    out = np.empty_like(b) if out is None else out
+    if not len(b):
+        return out
+    if h0 is None:
+        out[0] = b[0]
+    else:
+        np.multiply(a[0], h0, out=out[0])
+        out[0] += b[0]
     for a_t, h_prev, h_t, b_t in zip(a[1:], out[:-1], out[1:], b[1:]):
         np.multiply(a_t, h_prev, out=h_t)
         h_t += b_t
@@ -55,11 +68,16 @@ def _series_entries(a: np.ndarray, delta: np.ndarray, da: np.ndarray):
     """Mask of the entries of da = delta[..., None] * a with
     |da| < ZOH_SERIES_CUTOFF, or None when no entry is that small.
 
-    For delta (L, I) the test first runs on the (I, N) products
-    min_l |delta| * |a|. It is exact, because rounding a product of
-    non-negative floats is monotone in each factor, so the (L, I, N) mask
-    is only built when some entry needs it.
+    The mask is only built when some entry needs it. One row (I,) first
+    tests min |da|, one abs and one reduction. For delta (L, I) the test
+    first runs on the (I, N) products min_l |delta| * |a|; it is exact,
+    because rounding a product of non-negative floats is monotone in each
+    factor.
     """
+    if delta.ndim == 1 and da.size:
+        # the ufunc, without ndarray.min's Python wrapper: this runs per token
+        if np.minimum.reduce(np.abs(da), axis=None) >= ZOH_SERIES_CUTOFF:
+            return None
     if delta.ndim == 2 and delta.size:
         d_lo = np.abs(delta).min(axis=0)
         if not (d_lo[:, None] * np.abs(a) < ZOH_SERIES_CUTOFF).any():
@@ -68,25 +86,33 @@ def _series_entries(a: np.ndarray, delta: np.ndarray, da: np.ndarray):
     return small if small.any() else None
 
 
-def _zoh_np(a: np.ndarray, delta: np.ndarray):
-    """Zero-order-hold factors for diagonal dynamics.
+def _block_rows(inner: int) -> int:
+    """Rows per ZOH row block for I * N = inner state entries per row."""
+    return max(1, ZOH_BLOCK_ELEMS // inner)
 
-    Returns (a_bar, r, small) with a_bar = exp(delta*a) and r such that
-    b_bar = r * b; r = (exp(delta*a) - 1)/a, switching to the series
-    delta*(1 + delta*a/2) on the entries of the mask ``small`` (None when
-    there are none) to avoid 0/0. One exp, and r is formed in place.
+
+def _zoh_np(a: np.ndarray, delta: np.ndarray, a_bar: np.ndarray, r: np.ndarray):
+    """Zero-order-hold factors for diagonal dynamics a (I, N) and one row
+    block of timescales delta (rows, I), or one row (I,).
+
+    Writes a_bar = exp(delta*a) and r, with b_bar = r * b, into the
+    preallocated a_bar and r of shape delta.shape + (N,):
+    r = (exp(delta*a) - 1)/a, switching to the series delta*(1 + delta*a/2)
+    on the entries of the returned mask (None when there are none) to
+    avoid 0/0. Callers walk long sequences in row blocks of
+    ``_block_rows(a.size)``, so the temporaries stay cache-resident.
     """
-    da = delta[..., None] * a
+    da = np.multiply(delta[..., None], a, out=a_bar)
     small = _series_entries(a, delta, da)
     series = None if small is None else (delta[..., None] * (1.0 + 0.5 * da))[small]
-    a_bar = np.exp(da, out=da)
-    r = a_bar - 1.0
+    np.exp(da, out=a_bar)
+    np.subtract(a_bar, 1.0, out=r)
     if small is None:
         r /= a
     else:
         r /= np.where(small, 1.0, a)
         r[small] = series
-    return a_bar, r, small
+    return small
 
 
 def _causal_conv_np(x: np.ndarray, w: np.ndarray, b: np.ndarray):
@@ -126,8 +152,19 @@ def discretize_zoh(a: Tensor, delta: Tensor, b: Tensor):
         raise T.ShapeError(f"discretize_zoh: delta {delta.shape} does not fit a {a.shape}")
     if bd.shape != (dd.shape[0], ad.shape[1]):
         raise T.ShapeError(f"discretize_zoh: b {b.shape} does not fit a {a.shape}")
-    a_bar, r, small = _zoh_np(ad, dd)
-    b_bar = r * bd[:, None, :]
+    length, rows = dd.shape[0], _block_rows(ad.size)
+    a_bar = np.empty((length,) + ad.shape, dtype=np.result_type(ad, dd))
+    r = np.empty_like(a_bar)
+    b_bar = np.empty(a_bar.shape, dtype=np.result_type(a_bar, bd))
+    small = None
+    for s in range(0, length, rows):
+        blk = slice(s, s + rows)
+        blk_small = _zoh_np(ad, dd[blk], a_bar[blk], r[blk])
+        np.multiply(r[blk], bd[blk, None, :], out=b_bar[blk])
+        if blk_small is not None:
+            if small is None:
+                small = np.zeros(a_bar.shape, dtype=bool)
+            small[blk] = blk_small
 
     def bwd(ga_bar, gb_bar):
         p = gb_bar * bd[:, None, :]
@@ -179,7 +216,7 @@ def selective_scan(a_bar: Tensor, b_bar_x: Tensor, c: Tensor,
         h = _scan_parallel(ad, bd)
     else:
         raise ValueError(f"unknown scan mode {mode!r}")
-    y = np.einsum("lin,ln->li", h, cd)
+    y = (h @ cd[:, :, None])[:, :, 0]
     inputs = [a_bar, b_bar_x, c]
     if d_skip is not None:
         y = y + d_skip.data * x.data
@@ -344,41 +381,63 @@ class MambaBlock:
         )
 
     def step(self, x_row: np.ndarray, state: RecurrentState) -> np.ndarray:
-        """Advance one position; mutates state, returns the output row."""
+        """Advance one position; updates state in place, returns the output row."""
         i = self.d_inner
         xz = x_row @ self.w_in.data + self.b_in.data
-        main, gate = xz[:i], xz[i:]
-        win = np.concatenate([state.conv_buf, main[None]], axis=0)
-        conv = np.einsum("kc,ck->c", win, self.conv_w.data) + self.conv_b.data
-        state.conv_buf[:-1] = state.conv_buf[1:]
-        state.conv_buf[-1] = main
-        u = _silu_np(conv)
+        main = xz[:i]
+        buf, w = state.conv_buf, self.conv_w.data
+        conv = np.einsum("kc,ck->c", buf, w[:, :-1])  # the window is buf, then main
+        conv += main * w[:, -1]
+        conv += self.conv_b.data
+        buf[:-1] = buf[1:]
+        buf[-1] = main
+        xz[:i] = conv  # one SiLU pass over [conv, gate]
+        act = _silu_np(xz)
+        u, gate = act[:i], act[i:]
         b, c, delta = self.ssm._project_np(u)
         a = -np.exp(self.ssm.a_log.data)
-        a_bar, r, _ = _zoh_np(a, delta)
-        state.h = a_bar * state.h + (r * b) * u[:, None]
-        y = state.h @ c + self.ssm.d_skip.data * u
-        return (y * _silu_np(gate)) @ self.w_out.data + self.b_out.data
+        a_bar, bx = np.empty_like(a), np.empty_like(a)
+        _zoh_np(a, delta, a_bar, bx)
+        bx *= b
+        bx *= u[:, None]
+        h = state.h
+        h *= a_bar
+        h += bx
+        y = h @ c + self.ssm.d_skip.data * u
+        return (y * gate) @ self.w_out.data + self.b_out.data
 
     def forward_np(self, x: np.ndarray):
         """Full-sequence forward on raw arrays, also returning the final
-        RecurrentState (used to prefill generation streams)."""
-        i = self.d_inner
+        RecurrentState (used to prefill generation streams).
+
+        ZOH, b_bar * u, the scan (seeded with the state carried from the
+        previous block) and the readout run one row block at a time, so no
+        (L, I, N) array is ever built.
+        """
+        i, n = self.d_inner, self.n_state
         xz = x @ self.w_in.data + self.b_in.data
         main, gate = xz[:, :i], xz[:, i:]
         u = _silu_np(_causal_conv_np(main, self.conv_w.data, self.conv_b.data)[0])
         b, c, delta = self.ssm._project_np(u)
         a = -np.exp(self.ssm.a_log.data)
-        a_bar, r, _ = _zoh_np(a, delta)
-        h = _scan_sequential(a_bar, (r * b[:, None, :]) * u[:, :, None])
-        y = np.einsum("lin,ln->li", h, c) + self.ssm.d_skip.data * u
-        out = (y * _silu_np(gate)) @ self.w_out.data + self.b_out.data
         state = self.init_state()
-        if x.shape[0]:
-            state.h = h[-1].copy()
-            tail = min(CONV_WIDTH - 1, x.shape[0])
-            if tail:
-                state.conv_buf[-tail:] = main[-tail:]
+        length, rows = x.shape[0], _block_rows(a.size)
+        a_bar, bx, h = (np.empty((min(rows, length), i, n), dtype=u.dtype) for _ in range(3))
+        y = np.empty_like(u)
+        for s in range(0, length, rows):
+            blk, m = slice(s, s + rows), min(rows, length - s)
+            ab, bxb, hb = a_bar[:m], bx[:m], h[:m]
+            _zoh_np(a, delta[blk], ab, bxb)
+            bxb *= b[blk, None, :]
+            bxb *= u[blk, :, None]
+            _scan_sequential(ab, bxb, state.h, out=hb)
+            state.h[...] = hb[-1]
+            y[blk] = (hb @ c[blk, :, None])[:, :, 0]
+        y += self.ssm.d_skip.data * u
+        out = (y * _silu_np(gate)) @ self.w_out.data + self.b_out.data
+        tail = min(CONV_WIDTH - 1, length)
+        if tail:
+            state.conv_buf[-tail:] = main[-tail:]
         return out, state
 
     def params(self) -> dict[str, Tensor]:

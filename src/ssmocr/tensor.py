@@ -466,18 +466,21 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
         out = out + bias.data[:, None, None]
     wd_data = w.data
     inputs = (x, w) if bias is None else (x, w, bias)
+    x_attached = _attached(x)  # a detached image (stage 1) needs no gx
 
     def bwd(g):
         gflat = g.reshape(o, -1)
         gw = (gflat @ cols.T).reshape(w.shape)
-        gcols = (wd_data.reshape(o, -1).T @ gflat).reshape(c, kh, kw, ho, wo)
-        gxp = np.zeros_like(xp)
-        for u in range(kh):
-            for v in range(kw):
-                gxp[:, u : u + sh * (ho - 1) + 1 : sh,
-                       v : v + sw * (wo - 1) + 1 : sw] += gcols[:, u, v]
-        gx = gxp[:, ph : ph + h, pw : pw + wd] if (ph or pw) else gxp
-        gx = np.ascontiguousarray(gx)
+        gx = None
+        if x_attached:
+            gcols = (wd_data.reshape(o, -1).T @ gflat).reshape(c, kh, kw, ho, wo)
+            gxp = np.zeros_like(xp)
+            for u in range(kh):
+                for v in range(kw):
+                    gxp[:, u : u + sh * (ho - 1) + 1 : sh,
+                           v : v + sw * (wo - 1) + 1 : sw] += gcols[:, u, v]
+            gx = gxp[:, ph : ph + h, pw : pw + wd] if (ph or pw) else gxp
+            gx = np.ascontiguousarray(gx)
         if bias is None:
             return (gx, gw)
         return (gx, gw, g.sum(axis=(1, 2)))
@@ -616,10 +619,18 @@ def softmax_lastdim(x: Tensor) -> Tensor:
 
 
 def _normalize_lastdim(x: np.ndarray):
-    """(x - mean) * inv over the last axis, and inv = 1/sqrt(var + eps)."""
-    mu = x.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + x.dtype.type(LN_EPS))
-    return (x - mu) * inv, inv
+    """(x - mean) * inv over the last axis, and inv = 1/sqrt(var + eps).
+
+    x is centred once and the variance is the mean square of the centred
+    values, the same sums and divisions ``x.mean`` / ``x.var`` run, without
+    their Python-level wrappers or var's second centring.
+    """
+    n = x.shape[-1]
+    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(var + x.dtype.type(LN_EPS))
+    xc *= inv
+    return xc, inv
 
 
 def layernorm_np(x: np.ndarray, scale: Tensor, shift: Tensor) -> np.ndarray:

@@ -127,6 +127,70 @@ class TestDiscretizeZoh:
         for t, expect in zip(ts, expect_grads):
             assert rel(t.grad, expect) <= 1e-12
 
+    def test_chain_matches_oracle_across_row_blocks(self):
+        # desk I*N, so the ZOH runs in row blocks; series rows sit inside a
+        # middle block and on the first row of the last block
+        rng = np.random.default_rng(23)
+        i, n = 128, 16
+        rows = ssm._block_rows(i * n)
+        L = 2 * rows + 7
+        a = -np.tile(np.arange(1.0, n + 1), (i, 1)) * rng.uniform(0.5, 2.0, (i, n))
+        a[3, 1] = 0.0
+        delta = rng.uniform(1e-3, 0.5, (L, i))
+        delta[rows + rows // 2] = 1e-9
+        delta[2 * rows] = 1e-9
+        delta[2 * rows, 5] = 0.0
+        b, c = rng.standard_normal((L, n)), rng.standard_normal((L, n))
+        u, d_skip = rng.standard_normal((L, i)), rng.standard_normal(i)
+        gy = rng.standard_normal((L, i))
+        expect_y, expect_grads = zoh_chain_oracle(a, delta, b, u, c, d_skip, gy)
+
+        ts = [Tensor(v, requires_grad=True) for v in (a, delta, b, u, c, d_skip)]
+        at, dt, bt, ut, ct, st = ts
+        a_bar, b_bar = ssm.discretize_zoh(at, dt, bt)
+        y = ssm.selective_scan(a_bar, T.mul_rowbcast(b_bar, ut), ct, st, ut)
+        T.backward(T.sum_all(T.mul(y, Tensor(gy))))
+
+        def rel(got, expect):
+            return np.abs(got - expect).max() / np.abs(expect).max()
+
+        assert rel(y.data, expect_y) <= 1e-12
+        for t, expect in zip(ts, expect_grads):
+            assert rel(t.grad, expect) <= 1e-12
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_single_row_series_decision_at_the_cutoff(self, dtype):
+        # one-row ZOH (the recurrent step) with min|delta| * min|a| and
+        # min|da| within a few ulps of the cutoff on either side: the series
+        # decision must agree with the full mask, and the factors with the
+        # elementwise formulas
+        rng = np.random.default_rng(31)
+        cut = dtype(ssm.ZOH_SERIES_CUTOFF)
+        outcomes = set()
+        for trial in range(300):
+            i, n = (int(v) for v in rng.integers(1, 6, 2))
+            delta = (10.0 ** rng.uniform(-8, -1, i)).astype(dtype)
+            base = cut / delta.min()
+            steps = rng.integers(-3, 4, (i, n)) if trial % 2 else rng.integers(0, 4, (i, n))
+            a = -(base + steps * np.spacing(base)).astype(dtype)
+            bound = delta.min() * np.abs(a).min()
+            assert abs(bound - cut) <= 8 * np.spacing(cut)
+            da = delta[:, None] * a
+            assert abs(np.abs(da).min() - cut) <= 8 * np.spacing(cut)
+            full = np.abs(da) < cut
+            small = ssm._series_entries(a, delta, da)
+            assert (small is not None) == full.any()
+            if small is not None:
+                assert np.array_equal(small, full)
+            a_bar, r = np.empty_like(a), np.empty_like(a)
+            ssm._zoh_np(a, delta, a_bar, r)
+            safe_a = np.where(full, 1.0, a).astype(dtype)
+            expect_r = np.where(full, delta[:, None] * (1.0 + 0.5 * da), (np.exp(da) - 1.0) / safe_a)
+            assert np.array_equal(a_bar, np.exp(da))
+            assert np.array_equal(r, expect_r)
+            outcomes.add(bool(full.any()))
+        assert outcomes == {True, False}
+
     def test_closed_form_point(self):
         a = tt([[-1.0]])
         delta = tt([[np.log(2.0)]])
@@ -375,6 +439,22 @@ class TestMambaBlock:
         cont = np.stack([block.step(row, state) for row in extra])
         full = block.forward(Tensor(np.vstack([x, extra]), dtype="f64")).data
         assert np.abs(full[17:] - cont).max() <= 1e-8
+
+    @pytest.mark.parametrize("blocks,extra_rows", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (3, 7)])
+    def test_forward_np_across_row_blocks(self, blocks, extra_rows):
+        # desk widths (I*N = 128*16): the prefill runs in row blocks of `rows`
+        block = make_block(5, d=64, n=16)
+        rows = ssm._block_rows(block.d_inner * block.n_state)
+        L = blocks * rows + extra_rows
+        rng = np.random.default_rng(50 + L)
+        x = rng.standard_normal((L, 64))
+        y_np, state = block.forward_np(x)
+        assert y_np.shape == (L, 64)
+        assert np.abs(block.forward(Tensor(x, dtype="f64")).data - y_np).max(initial=0) <= 1e-12
+        extra = rng.standard_normal((3, 64))
+        cont = np.stack([block.step(row, state) for row in extra])
+        full = block.forward(Tensor(np.vstack([x, extra]), dtype="f64")).data
+        assert np.abs(full[L:] - cont).max() <= 1e-8
 
     def test_state_bounded_on_long_input(self):
         block = make_block(7, d=4, n=3)

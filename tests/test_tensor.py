@@ -96,6 +96,23 @@ class TestConv2d:
         ref = conv2d_oracle(x, w, b, stride, padding)
         assert np.abs(out.data - ref).max() <= 1e-6 * max(1.0, np.abs(ref).max())
 
+    def test_image_gradient_only_for_attached_input(self):
+        # a detached image (encoder stage 1) gets no gx, and the weight and
+        # bias gradients are the same whether gx is formed or not
+        rng = np.random.default_rng(3)
+        x_np, g = rng.standard_normal((2, 7, 9)), rng.standard_normal((3, 7, 9))
+        w = T.Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
+        b = T.Tensor(rng.standard_normal(3), requires_grad=True)
+        grads = []
+        for attached in (False, True):
+            out = T.conv2d(T.Tensor(x_np, requires_grad=attached), w, b, padding=1)
+            gx, gw, gb = out.node.backward(g)
+            T.active_tape().reset()
+            assert (gx is not None) == attached
+            grads.append((gw, gb))
+        for g_detached, g_attached in zip(*grads):
+            assert np.array_equal(g_detached, g_attached)
+
     def test_kernel_larger_than_padded_input(self):
         with pytest.raises(T.ShapeError, match="larger"):
             T.conv2d(T.Tensor(np.zeros((1, 2, 2))), T.Tensor(np.zeros((1, 1, 5, 5))))
@@ -276,6 +293,25 @@ class TestActivations:
         raw = T.layernorm_np(x.data, g, b)
         assert raw.dtype == x.data.dtype
         assert np.array_equal(raw, T.layernorm_lastdim(x, g, b).data)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("d,ulps", [(64, 0), (5, 1), (30, 1)])
+    @pytest.mark.parametrize("rows", [None, 7, 1362])
+    def test_normalize_matches_mean_var_formula(self, dtype, d, ulps, rows):
+        # the earlier two-pass formula, through x.mean and x.var
+        rng = np.random.default_rng(d + (rows or 0))
+        shape = (d,) if rows is None else (rows, d)
+        x = (rng.standard_normal(shape) * 3.0 + 1.0).astype(dtype)
+        mu = x.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + dtype(T.LN_EPS))
+        expect = (x - mu) * inv
+        got, got_inv = T._normalize_lastdim(x)
+        assert got.dtype == got_inv.dtype == dtype
+        if ulps == 0:
+            assert np.array_equal(got, expect) and np.array_equal(got_inv, inv)
+        else:
+            assert np.all(np.abs(got - expect) <= ulps * np.spacing(np.abs(expect)))
+            assert np.all(np.abs(got_inv - inv) <= ulps * np.spacing(inv))
 
     @pytest.mark.parametrize("dtype", ["f32", "f64"])
     @pytest.mark.parametrize("shape", [(8,), (5, 8)])

@@ -76,6 +76,18 @@ class TestConfig:
         with pytest.raises(CFG.ConfigError, match=key):
             CFG.config_from_mapping({key: "-1"})
 
+    @pytest.mark.parametrize("key,value", [
+        ("train.batch_size", "0"), ("train.batch_size", "-2"),
+        ("encoder.channels", "4,4,8"), ("encoder.channels", "4,4,8,8,8"),
+        ("encoder.channels", "4,0,8,8"),
+        ("encoder.pooling", "2x2,2x2,2x2,2x1"), ("encoder.pooling", "2x2,2x2,2x2,2x1,0x1"),
+        ("model.d", "30"), ("model.d", "0"), ("model.d", "-8"),
+    ])
+    def test_unusable_shape_rejected_by_key(self, key, value):
+        # rejected when the config is built, before any data loads
+        with pytest.raises(CFG.ConfigError, match=key):
+            CFG.config_from_mapping({key: value})
+
     def test_keymap_has_exactly_one_key_per_field(self):
         attrs = [attr for attr, _ in CFG.KEYMAP.values()]
         assert len(set(attrs)) == len(attrs)
