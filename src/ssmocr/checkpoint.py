@@ -24,6 +24,14 @@ VERSION = 1
 _DTYPES = {"f32": "<f4", "f64": "<f8"}
 
 
+# conv biases saved before the encoder stages dropped them, with the
+# batchnorm running mean each one folds into. Eval mode sees bias and
+# running mean only as their difference, and training mode cancels both
+# with the sample's own mean, so the fold loads the same model.
+RETIRED_BIASES = {f"encoder.stage{s}.b": f"encoder.stage{s}.running_mean"
+                  for s in range(5)}
+
+
 class CheckpointError(ValueError):
     """Unreadable or inconsistent checkpoint."""
 
@@ -163,6 +171,13 @@ def apply_to_model(ckpt: Checkpoint, model) -> None:
         key = f"buffers.{name}"
         if key in ckpt.tensors:
             buf[...] = ckpt.tensors[key].astype(buf.dtype)
+    for name, into in RETIRED_BIASES.items():
+        if name in ckpt.tensors:
+            bias = ckpt.tensors[name]
+            if bias.shape != buffers[into].shape:
+                raise CheckpointError(f"tensor {name!r} shape {bias.shape} does not "
+                                      f"match {into!r} {buffers[into].shape}")
+            buffers[into] -= bias
 
 
 def collect_from_model(model, config_map: dict[str, str], rng_state=None,

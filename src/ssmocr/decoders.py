@@ -194,7 +194,7 @@ def masked_ce_loss(logits: Tensor, target_ids) -> Tensor:
 
 
 def _build_stack(n_layers, d_model, n_state, expand, rng, dtype):
-    return [MambaLayer(d_model, n_state, expand, rng, dtype) for _ in range(n_layers)]
+    return [MambaLayer(d_model, n_state, expand, rng=rng, dtype=dtype) for _ in range(n_layers)]
 
 
 def _stack_params(layers, prefix):
@@ -259,8 +259,7 @@ class CtcDecoder:
     """Unidirectional stack projecting every visual frame onto V+blank."""
 
     def __init__(self, d_model, ctc_size, n_layers=4, n_state=16, expand=2,
-                 rng=None, dtype="f32"):
-        rng = np.random.default_rng() if rng is None else rng
+                 *, rng, dtype="f32"):
         self.layers = _build_stack(n_layers, d_model, n_state, expand, rng, dtype)
         self.w_out, self.b_out = _head_init(rng, d_model, ctc_size, dtype)
 
@@ -285,8 +284,7 @@ class ArDecoder:
     stream tail, and generation steps with one RecurrentState per layer."""
 
     def __init__(self, d_model, vocab_size, n_layers=4, n_state=16, expand=2,
-                 max_len=512, rng=None, dtype="f32"):
-        rng = np.random.default_rng() if rng is None else rng
+                 max_len=512, *, rng, dtype="f32"):
         self.vocab_size = vocab_size
         self.max_len = max_len
         k = 1.0 / np.sqrt(d_model)
@@ -356,8 +354,7 @@ class NarDecoder:
     predicts every slot, read from the last T_max positions."""
 
     def __init__(self, d_model, vocab_size, t_max=160, n_layers=4, n_state=16,
-                 expand=2, rng=None, dtype="f32"):
-        rng = np.random.default_rng() if rng is None else rng
+                 expand=2, *, rng, dtype="f32"):
         self.t_max = t_max
         self.queries = Tensor(rng.standard_normal((t_max, d_model)) * 0.02,
                               dtype=dtype, requires_grad=True)
@@ -439,8 +436,7 @@ class AttentionBaselineDecoder:
     cache bytes = 2 * (L + t) * D * layers * itemsize."""
 
     def __init__(self, d_model, vocab_size, n_layers=4, n_heads=4, ffn_mult=4,
-                 max_ctx=4096, max_len=512, rng=None, dtype="f32"):
-        rng = np.random.default_rng() if rng is None else rng
+                 max_ctx=4096, max_len=512, *, rng, dtype="f32"):
         if d_model % n_heads:
             raise T.ShapeError(f"d_model {d_model} not divisible by {n_heads} heads")
         self.d_model = d_model

@@ -101,8 +101,7 @@ class FeatureGrid:
 class ConvEncoder:
     """Five (conv3x3 -> batchnorm -> SiLU -> max-pool) stages."""
 
-    def __init__(self, config: EncoderConfig, rng=None, dtype="f32"):
-        rng = np.random.default_rng() if rng is None else rng
+    def __init__(self, config: EncoderConfig, *, rng, dtype="f32"):
         self.config = config
         self.training = True
         self.stages = []
@@ -112,10 +111,9 @@ class ConvEncoder:
             bound = 1.0 / np.sqrt(c_in * KERNEL * KERNEL)
             w = Tensor(rng.uniform(-bound, bound, (c_out, c_in, KERNEL, KERNEL)),
                        dtype=dtype, requires_grad=True)
-            b = Tensor(np.zeros(c_out), dtype=dtype, requires_grad=True)
             ng = Tensor(np.ones(c_out), dtype=dtype, requires_grad=True)
             nb = Tensor(np.zeros(c_out), dtype=dtype, requires_grad=True)
-            self.stages.append({"w": w, "b": b, "norm_g": ng, "norm_b": nb,
+            self.stages.append({"w": w, "norm_g": ng, "norm_b": nb,
                                 "pool": tuple(config.pooling[s])})
             self.buffers_[f"stage{s}.running_mean"] = np.zeros(c_out, dtype=np.float64)
             self.buffers_[f"stage{s}.running_var"] = np.ones(c_out, dtype=np.float64)
@@ -136,7 +134,7 @@ class ConvEncoder:
         dt = self.stages[0]["w"].dtype
         x = Tensor(image[None, :, :], dtype=dt)
         for s, st in enumerate(self.stages):
-            x = T.conv2d(x, st["w"], st["b"], stride=1, padding=KERNEL // 2)
+            x = T.conv2d(x, st["w"], stride=1, padding=KERNEL // 2)
             x = T.batchnorm2d(x, st["norm_g"], st["norm_b"],
                               self.buffers_[f"stage{s}.running_mean"],
                               self.buffers_[f"stage{s}.running_var"],
@@ -149,7 +147,6 @@ class ConvEncoder:
         out = {}
         for s, st in enumerate(self.stages):
             out[f"stage{s}.w"] = st["w"]
-            out[f"stage{s}.b"] = st["b"]
             out[f"stage{s}.norm_g"] = st["norm_g"]
             out[f"stage{s}.norm_b"] = st["norm_b"]
         return out

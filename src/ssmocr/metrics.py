@@ -105,10 +105,6 @@ class SampleScore:
     def cer(self) -> float:
         return (self.s + self.d + self.i) / self.ref_chars * 100.0
 
-    @property
-    def char_errors(self) -> int:
-        return self.s + self.d + self.i
-
 
 @dataclass
 class EvalReport:

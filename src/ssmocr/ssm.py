@@ -345,9 +345,8 @@ class RecurrentState:
 class MambaBlock:
     """Gated selective-SSM block, unidirectional and strictly causal."""
 
-    def __init__(self, d_model: int, n_state: int = 16, expand: int = 2,
-                 rng=None, dtype="f32"):
-        rng = np.random.default_rng() if rng is None else rng
+    def __init__(self, d_model: int, n_state: int = 16, expand: int = 2, *,
+                 rng, dtype="f32"):
         self.d_model = d_model
         self.d_inner = expand * d_model
         self.n_state = n_state
@@ -454,15 +453,14 @@ class BiMambaConnector:
     residual plumbing with a GELU feedforward."""
 
     def __init__(self, d_model: int, n_state: int = 16, expand: int = 2,
-                 ffn_mult: int = 4, rng=None, dtype="f32"):
-        rng = np.random.default_rng() if rng is None else rng
+                 ffn_mult: int = 4, *, rng, dtype="f32"):
         d = d_model
         self.d_model = d
         self.norm1_g = Tensor(np.ones(d), dtype=dtype, requires_grad=True)
         self.norm1_b = _zeros(d, dtype)
         self.w1 = _uniform(rng, (d, d), d, dtype)
         self.b1 = _zeros(d, dtype)
-        self.block = MambaBlock(d, n_state, expand, rng, dtype)
+        self.block = MambaBlock(d, n_state, expand, rng=rng, dtype=dtype)
         self.norm2_g = Tensor(np.ones(d), dtype=dtype, requires_grad=True)
         self.norm2_b = _zeros(d, dtype)
         h = ffn_mult * d
@@ -495,12 +493,11 @@ class BiMambaConnector:
 class MambaLayer:
     """Pre-norm residual wrapper: x + Block(LayerNorm(x))."""
 
-    def __init__(self, d_model: int, n_state: int = 16, expand: int = 2,
-                 rng=None, dtype="f32"):
-        rng = np.random.default_rng() if rng is None else rng
+    def __init__(self, d_model: int, n_state: int = 16, expand: int = 2, *,
+                 rng, dtype="f32"):
         self.norm_g = Tensor(np.ones(d_model), dtype=dtype, requires_grad=True)
         self.norm_b = _zeros(d_model, dtype)
-        self.block = MambaBlock(d_model, n_state, expand, rng, dtype)
+        self.block = MambaBlock(d_model, n_state, expand, rng=rng, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
         xn = T.layernorm_lastdim(x, self.norm_g, self.norm_b)

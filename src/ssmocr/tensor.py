@@ -249,13 +249,6 @@ def add(a: Tensor, b) -> Tensor:
     return custom_op("add", a.data + a.data.dtype.type(b), (a,), lambda g: (g,))
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    b = _binary_data(a, b, "sub")
-    if isinstance(b, Tensor):
-        return custom_op("sub", a.data - b.data, (a, b), lambda g: (g, -g))
-    return custom_op("sub", a.data - a.data.dtype.type(b), (a,), lambda g: (g,))
-
-
 def mul(a: Tensor, b) -> Tensor:
     b = _binary_data(a, b, "mul")
     if isinstance(b, Tensor):

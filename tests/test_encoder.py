@@ -52,6 +52,12 @@ class TestShapes:
         grid = enc.forward(np.zeros((32, 48), dtype=np.float32))
         assert np.all(grid.grid.data == 0)
 
+    def test_stages_carry_no_conv_bias(self):
+        # batchnorm's shift is each stage's only per-channel offset
+        enc, _ = make_encoder()
+        assert sorted(enc.params()) == sorted(
+            f"stage{s}.{k}" for s in range(5) for k in ("w", "norm_g", "norm_b"))
+
     def test_eval_mode_determinism(self):
         enc, _ = make_encoder()
         enc.training = False

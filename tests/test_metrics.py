@@ -144,7 +144,7 @@ class TestEvalReport:
             ref = random_string(rng, lo=1)
             hyp = random_string(rng)
             row = rep.add(f"s{k}", ref, hyp)
-            total_err += row.char_errors
+            total_err += row.s + row.d + row.i
             total_n += row.ref_chars
         assert abs(rep.cer - total_err / total_n * 100.0) < 1e-12
 

@@ -255,6 +255,37 @@ class TestBatchnorm:
             assert rel(got, expect) <= 1e-12
         assert rel(rm, expect_rm) <= 1e-12 and rel(rv, expect_rv) <= 1e-12
 
+    @pytest.mark.parametrize("shape", [(3, 4, 5), (4, 16, 40)])
+    def test_conv_bias_cancels_in_training_mode(self, shape):
+        # why the encoder's conv stages carry no bias: the sample mean that
+        # training-mode batchnorm subtracts absorbs it, in the output and in
+        # every other gradient, and its own gradient is rounding noise
+        def rel(a, b):
+            return np.abs(a - b).max() / np.abs(b).max()
+
+        rng = np.random.default_rng(shape[2])
+        c = shape[0]
+        x = rng.standard_normal((2,) + shape[1:])
+        w = rng.standard_normal((c, 2, 3, 3))
+        bias = rng.standard_normal(c) * 3.0
+        scale, shift = rng.uniform(0.5, 1.5, c), rng.standard_normal(c)
+        g = rng.standard_normal(shape)
+
+        def run(b):
+            xt, wt = T.Tensor(x, requires_grad=True), T.Tensor(w, requires_grad=True)
+            bt = None if b is None else T.Tensor(b, requires_grad=True)
+            conv = T.conv2d(xt, wt, bt, padding=1)
+            out = T.batchnorm2d(conv, T.Tensor(scale), T.Tensor(shift),
+                                np.zeros(c), np.ones(c), training=True)
+            T.backward(T.sum_all(T.mul(out, T.Tensor(g))))
+            return out.data, xt.grad, wt.grad, None if bt is None else bt.grad
+
+        *with_bias, gb = run(bias)
+        *without, _ = run(None)
+        for got, expect in zip(with_bias, without):
+            assert rel(got, expect) <= 1e-12
+        assert np.abs(gb).max() <= 1e-12 * np.abs(without[2]).max()
+
 
 class TestActivations:
     def test_origin_values(self):

@@ -2,13 +2,17 @@
 
 import dataclasses
 import io
+import re
 
 import numpy as np
 import pytest
 
 from ssmocr import checkpoint as C
 from ssmocr import config as CFG
+from ssmocr import tensor as T
 from ssmocr import train as TR
+from ssmocr.cli import model_from_checkpoint
+from ssmocr.encoder import prepare_image
 from ssmocr.model import build_model
 from ssmocr.synth import SynthConfig, make_dataset
 from ssmocr.vocab import Vocabulary
@@ -259,6 +263,96 @@ class TestCheckpoint:
         bigger = build_model(dataclasses.replace(cfg, d_model=32), Vocabulary(list("ab")))
         with pytest.raises(C.CheckpointError, match="shape"):
             C.apply_to_model(ck, bigger)
+
+
+KINDS = ("mamba-ctc", "mamba-ar", "mamba-nar", "attn-ar-baseline")
+
+
+def with_retired_conv_bias(ck, seed=0):
+    """``ck`` as saved before the encoder's conv stages dropped their bias:
+    a nonzero bias with Adam moments per stage, and each running mean
+    measured with that bias in it."""
+    rng = np.random.default_rng(seed)
+    tensors = dict(ck.tensors)
+    for s in range(5):
+        mean = f"buffers.encoder.stage{s}.running_mean"
+        bias = rng.standard_normal(tensors[mean].shape).astype(np.float32)
+        tensors[f"encoder.stage{s}.b"] = bias
+        tensors[mean] = tensors[mean] + bias
+        tensors[f"adam.m.encoder.stage{s}.b"] = rng.standard_normal(bias.shape) * 1e-7
+        tensors[f"adam.v.encoder.stage{s}.b"] = rng.random(bias.shape) * 1e-14
+    return dataclasses.replace(ck, tensors=tensors)
+
+
+class TestRetiredConvBias:
+    @pytest.fixture(scope="class")
+    def trained(self, tiny_dataset, tmp_path_factory):
+        # a few steps give the running means something to fold into
+        return TR.train_run(tiny_cfg(tmp_path_factory.mktemp("bias"), tiny_dataset))
+
+    def test_legacy_checkpoint_loads_with_the_bias_folded(self, trained, tmp_path):
+        legacy = with_retired_conv_bias(C.load(trained.last_path))
+        C.save(tmp_path / "legacy.ckpt", legacy)
+        plain, _, _ = model_from_checkpoint(trained.last_path)
+        folded, _, _ = model_from_checkpoint(tmp_path / "legacy.ckpt")
+        img = (np.random.default_rng(5).random((32, 48)) * 255).astype(np.uint8)
+        with T.no_grad():
+            h_plain = plain.encode(img).data
+            h_folded = folded.encode(img).data
+            # the stage recipe with the bias, on the legacy tensors as saved
+            cfg = folded.encoder.config
+            x = T.Tensor(prepare_image(img, cfg.pad_min_h, cfg.pad_min_w)[None])
+            for s, st in enumerate(folded.encoder.stages):
+                bias = T.Tensor(legacy.tensors[f"encoder.stage{s}.b"])
+                x = T.conv2d(x, st["w"], bias, padding=1)
+                x = T.batchnorm2d(
+                    x, st["norm_g"], st["norm_b"],
+                    legacy.tensors[f"buffers.encoder.stage{s}.running_mean"].copy(),
+                    legacy.tensors[f"buffers.encoder.stage{s}.running_var"].copy(),
+                    training=False)
+                x = T.maxpool2d(T.silu(x), st["pool"])
+            grid = folded.encoder.forward(
+                prepare_image(img, cfg.pad_min_h, cfg.pad_min_w)).grid.data
+        assert np.abs(h_folded - h_plain).max() <= 1e-5 * np.abs(h_plain).max()
+        ref = x.data.transpose(1, 2, 0)
+        assert np.abs(grid - ref).max() <= 1e-5 * np.abs(ref).max()
+
+    def test_train_run_resumes_from_a_legacy_checkpoint(self, trained, tiny_dataset,
+                                                        tmp_path):
+        C.save(tmp_path / "legacy.ckpt", with_retired_conv_bias(C.load(trained.last_path)))
+        plain, legacy = (TR.train_run(tiny_cfg(tmp_path / tag, tiny_dataset, max_steps=7,
+                                               resume=str(path)))
+                         for tag, path in (("plain", trained.last_path),
+                                           ("legacy", tmp_path / "legacy.ckpt")))
+        # training-mode batchnorm never reads the running mean
+        assert len(legacy.loss_history) == 3
+        assert legacy.loss_history == plain.loss_history
+        got, ref = C.load(legacy.last_path).tensors, C.load(plain.last_path).tensors
+        assert sorted(got) == sorted(ref)
+        for name, arr in ref.items():
+            if name.endswith("running_mean"):
+                assert np.allclose(got[name], arr, rtol=0, atol=1e-12)
+            else:
+                assert np.array_equal(got[name], arr), name
+
+    def test_retired_bias_of_the_wrong_shape_rejected(self, trained, tmp_path):
+        legacy = with_retired_conv_bias(C.load(trained.last_path))
+        legacy.tensors["encoder.stage2.b"] = np.ones(1, dtype=np.float32)
+        model = build_model(tiny_cfg(tmp_path, "unused.tsv"), Vocabulary(list(legacy.vocab_chars)))
+        with pytest.raises(C.CheckpointError, match="encoder.stage2.b"):
+            C.apply_to_model(legacy, model)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_params_and_checkpoints_hold_no_conv_bias(self, kind, tiny_dataset,
+                                                      tmp_path):
+        cfg = tiny_cfg(tmp_path, tiny_dataset, model_kind=kind, max_steps=1)
+        res = TR.train_run(cfg)
+        model, _, ck = model_from_checkpoint(res.last_path)
+        params = model.params()
+        assert not [n for n in params if re.fullmatch(r"encoder\.stage\d\.b", n)]
+        expect = set(params) | {f"buffers.{n}" for n in model.buffers()}
+        expect |= {f"adam.{m}.{n}" for n in params for m in "mv"}
+        assert set(ck.tensors) == expect
 
 
 class TestTraining:
