@@ -190,6 +190,7 @@ class SlopeFit:
     slope: float        # seconds per step
     intercept: float    # seconds
     relative_slope: float
+    slope_se: float     # standard error of the slope, seconds per step
 
     @property
     def flat(self) -> bool:
@@ -198,11 +199,20 @@ class SlopeFit:
 
 def fit_step_slope(times: np.ndarray) -> SlopeFit:
     """Least-squares line through per-step times; relative_slope compares
-    the per-step drift against the base step cost."""
+    the per-step drift against the base step cost. The slope's standard
+    error comes from the residuals (n - 2 degrees of freedom; infinite
+    below three points)."""
     t = np.arange(times.size)
     slope, intercept = np.polyfit(t, times, 1)
+    if times.size > 2:
+        resid = times - (slope * t + intercept)
+        sxx = float(((t - t.mean()) ** 2).sum())
+        slope_se = float(np.sqrt(resid @ resid / (times.size - 2) / sxx))
+    else:
+        slope_se = float("inf")
     return SlopeFit(float(slope), float(intercept),
-                    float(slope / intercept) if intercept > 0 else float("inf"))
+                    float(slope / intercept) if intercept > 0 else float("inf"),
+                    slope_se)
 
 
 def write_latency_csv(path, records) -> None:

@@ -155,22 +155,24 @@ def load(path) -> Checkpoint:
     )
 
 
+def _tensor_for(ckpt: Checkpoint, name: str, shape) -> np.ndarray:
+    if name not in ckpt.tensors:
+        raise CheckpointError(f"checkpoint missing tensor {name!r}")
+    arr = ckpt.tensors[name]
+    if tuple(arr.shape) != tuple(shape):
+        raise CheckpointError(
+            f"tensor {name!r} shape {arr.shape} does not match model {tuple(shape)}")
+    return arr
+
+
 def apply_to_model(ckpt: Checkpoint, model) -> None:
-    """Copy checkpoint tensors into model params/buffers, validating shapes."""
-    params = model.params()
+    """Copy checkpoint tensors into model params/buffers, validating that
+    each is present with the model's shape."""
     buffers = model.buffers()
-    for name, p in params.items():
-        if name not in ckpt.tensors:
-            raise CheckpointError(f"checkpoint missing tensor {name!r}")
-        arr = ckpt.tensors[name]
-        if tuple(arr.shape) != p.shape:
-            raise CheckpointError(
-                f"tensor {name!r} shape {arr.shape} does not match model {p.shape}")
-        p.data = np.ascontiguousarray(arr, dtype=p.data.dtype)
+    for name, p in model.params().items():
+        p.data = np.ascontiguousarray(_tensor_for(ckpt, name, p.shape), dtype=p.data.dtype)
     for name, buf in buffers.items():
-        key = f"buffers.{name}"
-        if key in ckpt.tensors:
-            buf[...] = ckpt.tensors[key].astype(buf.dtype)
+        buf[...] = _tensor_for(ckpt, f"buffers.{name}", buf.shape)
     for name, into in RETIRED_BIASES.items():
         if name in ckpt.tensors:
             bias = ckpt.tensors[name]

@@ -154,7 +154,7 @@ def cmd_bench(args) -> int:
         B.write_latency_csv(out_dir / "latency.csv", records)
         for tag, fit in fits.items():
             print(f"{tag}: step {fit.intercept * 1e6:.1f} us, slope "
-                  f"{fit.slope * 1e9:.2f} ns/step "
+                  f"{fit.slope * 1e9:.2f} +/- {fit.slope_se * 1e9:.2f} ns/step "
                   f"({fit.relative_slope * 100:.3f}% of intercept)")
     print(f"wrote {out_dir / 'growth.csv'} (models randomly initialized)")
     return 0

@@ -9,7 +9,8 @@ scaling benchmark.
 Both autoregressive decoders generate through one greedy loop
 (``_greedy``) over a per-token numpy step. The attention decoder's
 prefill is its batch forward run off the tape, which yields the K/V
-cache; the Mamba decoder's prefill is the recurrence in
+cache, copied once into preallocated buffers that each step writes one
+row of; the Mamba decoder's prefill is the recurrence in
 ``MambaLayer.forward_np``, which yields the final state.
 """
 
@@ -415,18 +416,20 @@ def positional_encoding_1d(n: int, d: int, dtype=np.float32) -> np.ndarray:
 
 @dataclass
 class KvCache:
-    """Per-layer key/value rows; grows by one row per generated token."""
+    """Per-layer key/value rows, head-major: one (H, cap, dh) buffer per
+    layer for keys and one for values, allocated once by ``start_stream``.
+    Rows ``[:length]`` are live; each step writes row ``length`` and
+    advances it, so nothing is copied per token."""
 
-    keys: list      # one (S, D) array per layer
+    keys: list      # one (H, cap, dh) buffer per layer
     values: list
+    length: int
 
     @property
     def nbytes(self) -> int:
-        return sum(k.nbytes + v.nbytes for k, v in zip(self.keys, self.values))
-
-    @property
-    def length(self) -> int:
-        return self.keys[0].shape[0] if self.keys else 0
+        """Bytes of the live rows: 2 * length * D * layers * itemsize."""
+        return sum(k[:, :self.length].nbytes + v[:, :self.length].nbytes
+                   for k, v in zip(self.keys, self.values))
 
 
 class AttentionBaselineDecoder:
@@ -470,15 +473,13 @@ class AttentionBaselineDecoder:
 
     # -- batch path (tape) --
 
-    def _attn(self, xn: Tensor, layer):
-        """Causal multi-head self-attention; returns (out, k, v)."""
-        s = xn.shape[0]
+    def _attn(self, xn: Tensor, layer, mask_t: Tensor):
+        """Causal multi-head self-attention under the additive (S, S) mask;
+        returns (out, k, v)."""
         dh = self.d_model // self.n_heads
         q = T.linear(xn, layer["wq"], layer["bq"])
         k = T.linear(xn, layer["wk"], layer["bk"])
         v = T.linear(xn, layer["wv"], layer["bv"])
-        mask = np.triu(np.full((s, s), NEG_MASK, dtype=xn.data.dtype), k=1)
-        mask_t = Tensor(mask)
         heads = []
         for hd in range(self.n_heads):
             qh = T.narrow(q, 1, hd * dh, dh)
@@ -492,10 +493,12 @@ class AttentionBaselineDecoder:
     def _trunk(self, x: Tensor):
         """The pre-norm stack; returns (x, keys, values), one (S, D) key and
         value array per layer."""
+        s = x.shape[0]
+        mask_t = Tensor(np.triu(np.full((s, s), NEG_MASK, dtype=x.data.dtype), k=1))
         keys, values = [], []
         for layer in self.layers:
             xn = T.layernorm_lastdim(x, layer["ln1_g"], layer["ln1_b"])
-            a, k, v = self._attn(xn, layer)
+            a, k, v = self._attn(xn, layer, mask_t)
             keys.append(k.data)
             values.append(v.data)
             x = T.add(x, a)
@@ -524,15 +527,28 @@ class AttentionBaselineDecoder:
 
     def start_stream(self, h_np: np.ndarray) -> KvCache:
         """Run the visual prefix once through the batch forward, off the
-        tape, and keep its K/V rows per layer."""
+        tape, and copy its K/V rows into head-major buffers sized for the
+        longest context ``step`` accepts (``max_ctx``, or the prefill when
+        that is longer). The buffers come from ``np.empty``, so rows no
+        step reaches cost no resident memory."""
         with T.no_grad():
             _, keys, values = self._trunk(Tensor(h_np))
-        return KvCache(keys, values)
+        s, h = keys[0].shape[0], self.n_heads
+        shape = (h, max(self.max_ctx, s), self.d_model // h)
+        bufs = []
+        for arr in keys + values:
+            buf = np.empty(shape, dtype=arr.dtype)
+            buf[:, :s] = arr.reshape(s, h, -1).transpose(1, 0, 2)
+            bufs.append(buf)
+        return KvCache(bufs[:len(keys)], bufs[len(keys):], s)
 
     def step(self, token: int, position: int, cache: KvCache) -> np.ndarray:
-        """Append one K/V pair per layer and return next-token logits."""
-        if cache.length >= self.max_ctx:
-            raise ContextOverflowError(f"context {cache.length} at capacity {self.max_ctx}")
+        """Write one K/V row per layer at the cache cursor, attend over the
+        live rows with two batched matmuls per layer, and return
+        next-token logits."""
+        n = cache.length
+        if n >= self.max_ctx:
+            raise ContextOverflowError(f"context {n} at capacity {self.max_ctx}")
         dh = self.d_model // self.n_heads
         inv_scale = 1.0 / float(np.sqrt(dh))
         pe = positional_encoding_1d(position + 1, self.d_model,
@@ -541,19 +557,17 @@ class AttentionBaselineDecoder:
         for i, layer in enumerate(self.layers):
             xn = T.layernorm_np(x, layer["ln1_g"], layer["ln1_b"])
             q = (xn @ layer["wq"].data + layer["bq"].data).reshape(self.n_heads, dh)
-            k = xn @ layer["wk"].data + layer["bk"].data
-            v = xn @ layer["wv"].data + layer["bv"].data
-            cache.keys[i] = np.concatenate([cache.keys[i], k[None]], axis=0)
-            cache.values[i] = np.concatenate([cache.values[i], v[None]], axis=0)
-            ks = cache.keys[i].reshape(-1, self.n_heads, dh)
-            vs = cache.values[i].reshape(-1, self.n_heads, dh)
-            scores = np.einsum("hd,jhd->hj", q, ks) * inv_scale
+            ks, vs = cache.keys[i], cache.values[i]
+            ks[:, n] = (xn @ layer["wk"].data + layer["bk"].data).reshape(self.n_heads, dh)
+            vs[:, n] = (xn @ layer["wv"].data + layer["bv"].data).reshape(self.n_heads, dh)
+            scores = (ks[:, :n + 1] @ q[:, :, None])[:, :, 0] * inv_scale
             attn = T.softmax_np(scores)
-            ctx = np.einsum("hj,jhd->hd", attn, vs).reshape(self.d_model)
+            ctx = (attn[:, None, :] @ vs[:, :n + 1]).reshape(self.d_model)
             x = x + ctx @ layer["wo"].data + layer["bo"].data
             xn = T.layernorm_np(x, layer["ln2_g"], layer["ln2_b"])
             x = x + T.gelu_np(xn @ layer["ffn_w1"].data + layer["ffn_b1"].data) \
                 @ layer["ffn_w2"].data + layer["ffn_b2"].data
+        cache.length = n + 1
         x = T.layernorm_np(x, self.final_g, self.final_b)
         return x @ self.w_out.data + self.b_out.data
 

@@ -113,6 +113,26 @@ class TestTiming:
         steep = B.fit_step_slope(np.linspace(1e-4, 3e-2, 200))
         assert not steep.flat  # per-step drift above 5% of the base cost
 
+    def test_slope_standard_error_on_a_noisy_line(self):
+        n, slope, sigma = 500, 2e-9, 1e-6
+        t = np.arange(n)
+        sxx = float(((t - t.mean()) ** 2).sum())
+        rng = np.random.default_rng(0)
+        fits = [B.fit_step_slope(7e-4 + slope * t + rng.normal(0.0, sigma, n))
+                for _ in range(400)]
+        ses = np.array([f.slope_se for f in fits])
+        # each fit's error estimate matches the closed form sigma / sqrt(Sxx) ...
+        assert np.allclose(ses, sigma / np.sqrt(sxx), rtol=0.2)
+        # ... and the spread of the fitted slopes around the true one
+        errors = np.array([f.slope for f in fits]) - slope
+        assert np.std(errors) == pytest.approx(np.mean(ses), rel=0.15)
+        assert abs(np.mean(errors)) < 4 * np.mean(ses) / np.sqrt(len(fits))
+
+    def test_slope_standard_error_edges(self):
+        exact = B.fit_step_slope(np.linspace(1e-4, 3e-4, 200))
+        assert exact.slope_se == pytest.approx(0.0, abs=1e-15)
+        assert B.fit_step_slope(np.array([1e-4, 2e-4])).slope_se == float("inf")
+
     def test_single_thread_guard(self, monkeypatch):
         monkeypatch.setenv("SSMOCR_THREADS", "4")
         with pytest.raises(B.BenchConfigError, match="SSMOCR_THREADS=4"):

@@ -303,18 +303,79 @@ class TestAttentionBaseline:
         dec = make_attn(5, d=32, vocab_size=12, dtype="f32")
         rng = np.random.default_rng(prefill)
         h = rng.standard_normal((prefill, 32)).astype(np.float32)
-        ids = rng.integers(4, 12, size=24)
+        ids = rng.integers(4, 12, size=40)
         teacher = dec.teacher_logits(Tensor(h), ids).data
         gen = dec.generate(h, force_ids=ids)
         assert gen.step_logits.dtype == np.float32
-        assert gen.step_logits.shape == (24, 12)
-        assert np.abs(teacher[:24] - gen.step_logits).max() <= 1e-5
+        assert gen.step_logits.shape == (40, 12)
+        assert np.abs(teacher[:40] - gen.step_logits).max() <= 1e-5
 
     def test_context_overflow(self):
         dec = make_attn(3, max_ctx=8)
         h = np.random.default_rng(3).standard_normal((6, 8))
         with pytest.raises(D.ContextOverflowError):
             dec.generate(h, max_len=10, force_ids=[4] * 10)
+
+    def test_steps_write_into_the_prefill_buffers(self):
+        dec = make_attn(7, max_ctx=32)
+        h = np.random.default_rng(7).standard_normal((6, 8))
+        cache = dec.start_stream(h)
+        keys, values = list(cache.keys), list(cache.values)
+        assert all(b.shape == (2, 32, 4) for b in keys + values)
+        for t in range(1, 21):
+            dec.step(4 + t % 4, t - 1, cache)
+            assert cache.length == 6 + t
+            assert cache.nbytes == 2 * (6 + t) * 8 * 2 * 8
+            assert all(a is b for a, b in zip(cache.keys + cache.values, keys + values))
+
+    def test_capacity_is_max_ctx(self):
+        dec = make_attn(8, max_ctx=10)
+        rng = np.random.default_rng(8)
+        for prefill in (10, 13):  # a longer prefill keeps every row
+            full = dec.start_stream(rng.standard_normal((prefill, 8)))
+            assert full.length == prefill
+            assert full.nbytes == 2 * prefill * 8 * 2 * 8
+            with pytest.raises(D.ContextOverflowError):
+                dec.step(4, 0, full)
+        cache = dec.start_stream(rng.standard_normal((9, 8)))
+        dec.step(4, 0, cache)
+        assert cache.length == 10
+        with pytest.raises(D.ContextOverflowError):
+            dec.step(5, 1, cache)
+
+    def test_one_causal_mask_per_trunk_bitwise(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        h = rng.standard_normal((5, 8))
+        ids = [4, 5, 6]
+
+        def run(dec):
+            logits = dec.teacher_logits(Tensor(h, dtype="f64", requires_grad=True), ids)
+            T.backward(D.cross_entropy_rows(logits, [5, 6, 7, V.EOS]))
+            return logits.data, {k: p.grad for k, p in dec.params().items()}
+
+        shared, per_layer = make_attn(10), make_attn(10)
+        masks = []
+        shared_attn = shared._attn
+
+        def record(xn, layer, mask_t):
+            masks.append(mask_t)
+            return shared_attn(xn, layer, mask_t)
+
+        per_layer_attn = per_layer._attn
+
+        def rebuild(xn, layer, mask_t):
+            s = xn.shape[0]
+            own = np.triu(np.full((s, s), D.NEG_MASK, dtype=xn.data.dtype), k=1)
+            return per_layer_attn(xn, layer, Tensor(own))
+
+        monkeypatch.setattr(shared, "_attn", record)
+        monkeypatch.setattr(per_layer, "_attn", rebuild)
+        got, got_grads = run(shared)
+        ref, ref_grads = run(per_layer)
+        assert len(masks) == 2 and masks[0] is masks[1]
+        assert np.array_equal(got, ref)
+        for k, g in ref_grads.items():
+            assert g is not None and np.array_equal(got_grads[k], g), k
 
     def test_trainable(self):
         dec = make_attn(4)

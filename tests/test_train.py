@@ -264,6 +264,29 @@ class TestCheckpoint:
         with pytest.raises(C.CheckpointError, match="shape"):
             C.apply_to_model(ck, bigger)
 
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_buffer_shape_mismatch_named(self, size):
+        cfg = CFG.RunConfig(model_kind="mamba-ctc", d_model=16, n_state=4,
+                            expand=2, layers=2, enc_channels=(4, 4, 8, 8))
+        model = build_model(cfg, Vocabulary(list("ab")))
+        key = "buffers.encoder.stage0.running_var"
+        ck = C.collect_from_model(model, {})
+        assert ck.tensors[key].shape == (4,)
+        # one element would broadcast into all four channels
+        ck.tensors[key] = np.full(size, 7.0, dtype=np.float32)
+        with pytest.raises(C.CheckpointError, match=re.escape(key)):
+            C.apply_to_model(ck, model)
+
+    def test_missing_buffer_named(self):
+        cfg = CFG.RunConfig(model_kind="mamba-ctc", d_model=16, n_state=4,
+                            expand=2, layers=2, enc_channels=(4, 4, 8, 8))
+        model = build_model(cfg, Vocabulary(list("ab")))
+        ck = C.collect_from_model(model, {})
+        del ck.tensors["buffers.encoder.stage3.running_mean"]
+        with pytest.raises(C.CheckpointError,
+                           match=re.escape("buffers.encoder.stage3.running_mean")):
+            C.apply_to_model(ck, model)
+
 
 KINDS = ("mamba-ctc", "mamba-ar", "mamba-nar", "attn-ar-baseline")
 
