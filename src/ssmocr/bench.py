@@ -201,7 +201,10 @@ def fit_step_slope(times: np.ndarray) -> SlopeFit:
     """Least-squares line through per-step times; relative_slope compares
     the per-step drift against the base step cost. The slope's standard
     error comes from the residuals (n - 2 degrees of freedom; infinite
-    below three points)."""
+    below three points). It is a within-run error: it treats the steps as
+    independent, while neighbouring step times are correlated, and between
+    runs the slope spreads 10-50x wider than it, so size a margin from
+    repeated runs, not from one run's slope_se."""
     t = np.arange(times.size)
     slope, intercept = np.polyfit(t, times, 1)
     if times.size > 2:

@@ -194,21 +194,17 @@ def run_step_latency(cfg, prefill: int, n_steps: int):
 
         return advance
 
-    fits = {}
-    records = []
-    mt = B.step_latencies(mamba_pass, n_steps)
-    fits["mamba-ar"] = B.fit_step_slope(mt)
-    records.append(B.BenchRecord(
-        "mamba-ar", n_steps, float(np.median(mt)) * 1e3,
-        float(np.median(np.abs(mt - np.median(mt)))) * 1e3,
-        1.0 / float(np.median(mt)), B.mamba_cache_bytes(cfg, n_steps)))
-    at = B.step_latencies(attn_pass, n_steps)
-    fits["attn-ar-baseline"] = B.fit_step_slope(at)
-    records.append(B.BenchRecord(
-        "attn-ar-baseline", n_steps, float(np.median(at)) * 1e3,
-        float(np.median(np.abs(at - np.median(at)))) * 1e3,
-        1.0 / float(np.median(at)),
-        B.attention_cache_bytes(cfg, prefill, n_steps)))
+    fits, records = {}, []
+    for tag, make_pass, cache_bytes in (
+            ("mamba-ar", mamba_pass, B.mamba_cache_bytes(cfg, n_steps)),
+            ("attn-ar-baseline", attn_pass,
+             B.attention_cache_bytes(cfg, prefill, n_steps))):
+        times = B.step_latencies(make_pass, n_steps)
+        fits[tag] = B.fit_step_slope(times)
+        med = float(np.median(times))
+        records.append(B.BenchRecord(
+            tag, n_steps, med * 1e3, float(np.median(np.abs(times - med))) * 1e3,
+            1.0 / med, cache_bytes))
     return records, fits
 
 

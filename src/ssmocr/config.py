@@ -112,6 +112,10 @@ class RunConfig:
                 raise ConfigError(f"{key} must be non-negative, got {value}")
         if self.batch_size < 1:
             raise ConfigError(f"train.batch_size must be at least 1, got {self.batch_size}")
+        for key, value in (("model.n_state", self.n_state), ("model.expand", self.expand),
+                           ("model.layers", self.layers)):
+            if value < 1:
+                raise ConfigError(f"{key} must be at least 1, got {value}")
         if self.d_model <= 0 or self.d_model % 4:
             raise ConfigError(
                 f"model.d must be a positive multiple of 4, got {self.d_model}")

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import tensor as T
 from . import vocab as V
+from .encoder import positional_encoding_1d
 from .ssm import MambaLayer, RecurrentState
 from .tensor import Tensor
 
@@ -53,15 +54,17 @@ def ctc_loss(frame_logits: Tensor, targets) -> Tensor:
     """Negative log marginal over all blank-augmented monotonic alignments.
 
     frame_logits: (L, K) with blank at class 0; targets: character classes
-    in 1..K-1. The forward algorithm runs in f64 log space; the gradient
-    is the frame posterior deficit (softmax minus occupation probability).
+    in 1..K-1. The forward algorithm runs in f64 log space; the backward
+    variables are the forward variables of the reversed lattice (Graves et
+    al., 2006, section 4.1), and the gradient is the frame posterior
+    deficit (softmax minus occupation probability).
     """
     targets = np.asarray(list(targets), dtype=np.int64)
     zl = frame_logits.data
     n_frames, n_classes = zl.shape
     if targets.size and (targets.min() < 1 or targets.max() >= n_classes):
         raise V.VocabularyError(f"CTC target ids must lie in [1, {n_classes})")
-    required = ctc_required_frames(targets)
+    required = max(ctc_required_frames(targets), 1)
     if n_frames < required:
         raise InfeasibleAlignmentError(
             f"{n_frames} frames cannot align a target needing {required}"
@@ -69,55 +72,49 @@ def ctc_loss(frame_logits: Tensor, targets) -> Tensor:
 
     z = zl.astype(np.float64)
     logp = z - _logsumexp_rows(z)
-    s_len = 2 * targets.size + 1
-    ext = np.zeros(s_len, dtype=np.int64)
-    ext[1::2] = targets
-    # transition s-2 -> s allowed when ext[s] is a label differing from ext[s-2]
-    allow = np.zeros(s_len, dtype=bool)
-    for s in range(2, s_len):
-        allow[s] = ext[s] != 0 and ext[s] != ext[s - 2]
-
-    neg = -np.inf
-    alpha = np.full((n_frames, s_len), neg)
-    alpha[0, 0] = logp[0, ext[0]]
-    if s_len > 1:
-        alpha[0, 1] = logp[0, ext[1]]
-    for t in range(1, n_frames):
-        prev = alpha[t - 1]
-        step = np.concatenate([[neg], prev])[:s_len]
-        acc = np.logaddexp(prev, step)
-        skip = np.concatenate([[neg, neg], prev])[:s_len]
-        acc = np.where(allow, np.logaddexp(acc, skip), acc)
-        alpha[t] = acc + logp[t, ext]
-    log_z = alpha[-1, -1]
-    if s_len > 1:
-        log_z = np.logaddexp(log_z, alpha[-1, -2])
+    ext, allow = _ctc_lattice(targets)
+    lp = logp[:, ext]
+    alpha = _ctc_alpha(lp, allow)
+    log_z = np.logaddexp.reduce(alpha[-1, -2:])
     loss = np.asarray(-log_z, dtype=zl.dtype)
 
     def bwd(g):
-        beta = np.full((n_frames, s_len), neg)
-        beta[-1, -1] = logp[-1, ext[-1]]
-        if s_len > 1:
-            beta[-1, -2] = logp[-1, ext[-2]]
-        allow_fwd = np.zeros(s_len, dtype=bool)  # transition s -> s+2
-        allow_fwd[: s_len - 2] = allow[2:]
-        for t in range(n_frames - 2, -1, -1):
-            nxt = beta[t + 1]
-            step = np.concatenate([nxt[1:], [neg]])
-            acc = np.logaddexp(nxt, step)
-            skip = np.concatenate([nxt[2:], [neg, neg]])[:s_len]
-            acc = np.where(allow_fwd, np.logaddexp(acc, skip), acc)
-            beta[t] = acc + logp[t, ext]
-        occupancy = alpha + beta - logp[:, ext] - log_z  # log q_t(s)
+        _, allow_rev = _ctc_lattice(targets[::-1])
+        beta = _ctc_alpha(lp[::-1, ::-1], allow_rev)[::-1, ::-1]
+        occupancy = alpha + beta - lp - log_z  # log q_t(s)
         gamma = np.zeros_like(z)
         with np.errstate(under="ignore"):
             occ = np.exp(occupancy)
-        for s in range(s_len):
+        for s in range(ext.size):
             gamma[:, ext[s]] += occ[:, s]
         grad = (np.exp(logp) - gamma) * float(g)
         return (grad.astype(zl.dtype),)
 
     return T.custom_op("ctc_loss", loss, (frame_logits,), bwd)
+
+
+def _ctc_lattice(targets: np.ndarray):
+    """The 2U+1 blank-augmented states and the mask of states s that may
+    be entered from s-2 (a label differing from the label two back)."""
+    ext = np.zeros(2 * targets.size + 1, dtype=np.int64)
+    ext[1::2] = targets
+    allow = np.zeros(ext.size, dtype=bool)
+    allow[2:] = (ext[2:] != 0) & (ext[2:] != ext[:-2])
+    return ext, allow
+
+
+def _ctc_alpha(lp: np.ndarray, allow: np.ndarray) -> np.ndarray:
+    """Log forward variables over a lattice whose frame t emits state s
+    with log-probability lp[t, s]; paths start in state 0 or 1."""
+    alpha = np.full(lp.shape, -np.inf)
+    alpha[0, :2] = lp[0, :2]
+    for t in range(1, len(lp)):
+        prev, cur = alpha[t - 1], alpha[t]
+        cur[:] = prev
+        np.logaddexp(cur[1:], prev[:-1], out=cur[1:])
+        np.logaddexp(cur[2:], prev[:-2], out=cur[2:], where=allow[2:])
+        cur += lp[t]
+    return alpha
 
 
 def _logsumexp_rows(z: np.ndarray) -> np.ndarray:
@@ -206,10 +203,7 @@ def _stack_params(layers, prefix):
 
 
 def _head_init(rng, d, n_out, dtype):
-    k = 1.0 / np.sqrt(d)
-    w = Tensor(rng.uniform(-k, k, (d, n_out)), dtype=dtype, requires_grad=True)
-    b = Tensor(np.zeros(n_out), dtype=dtype, requires_grad=True)
-    return w, b
+    return T.uniform_param(rng, (d, n_out), d, dtype), T.const_param(n_out, 0.0, dtype)
 
 
 @dataclass
@@ -288,9 +282,7 @@ class ArDecoder:
                  max_len=512, *, rng, dtype="f32"):
         self.vocab_size = vocab_size
         self.max_len = max_len
-        k = 1.0 / np.sqrt(d_model)
-        self.embed = Tensor(rng.uniform(-k, k, (vocab_size, d_model)),
-                            dtype=dtype, requires_grad=True)
+        self.embed = T.uniform_param(rng, (vocab_size, d_model), d_model, dtype)
         self.layers = _build_stack(n_layers, d_model, n_state, expand, rng, dtype)
         self.w_out, self.b_out = _head_init(rng, d_model, vocab_size, dtype)
 
@@ -404,16 +396,6 @@ def nar_decode(logits) -> NarDecodeResult:
 # causal-attention counterpart
 
 
-def positional_encoding_1d(n: int, d: int, dtype=np.float32) -> np.ndarray:
-    i = np.arange(d // 2)
-    inv_freq = 1.0 / (10000.0 ** (2.0 * i / d))
-    pos = np.arange(n)[:, None] * inv_freq[None, :]
-    out = np.zeros((n, d), dtype=dtype)
-    out[:, 0::2] = np.sin(pos)
-    out[:, 1::2] = np.cos(pos)
-    return out
-
-
 @dataclass
 class KvCache:
     """Per-layer key/value rows, head-major: one (H, cap, dh) buffer per
@@ -447,28 +429,24 @@ class AttentionBaselineDecoder:
         self.vocab_size = vocab_size
         self.max_ctx = max_ctx
         self.max_len = max_len
-        k = 1.0 / np.sqrt(d_model)
-        self.embed = Tensor(rng.uniform(-k, k, (vocab_size, d_model)),
-                            dtype=dtype, requires_grad=True)
+        self.embed = T.uniform_param(rng, (vocab_size, d_model), d_model, dtype)
         self.layers = []
         for _ in range(n_layers):
             layer = {}
             for name in ("wq", "wk", "wv", "wo"):
                 layer[name], layer[name.replace("w", "b")] = _head_init(
                     rng, d_model, d_model, dtype)
-            layer["ln1_g"] = Tensor(np.ones(d_model), dtype=dtype, requires_grad=True)
-            layer["ln1_b"] = Tensor(np.zeros(d_model), dtype=dtype, requires_grad=True)
-            layer["ln2_g"] = Tensor(np.ones(d_model), dtype=dtype, requires_grad=True)
-            layer["ln2_b"] = Tensor(np.zeros(d_model), dtype=dtype, requires_grad=True)
+            layer["ln1_g"] = T.const_param(d_model, 1.0, dtype)
+            layer["ln1_b"] = T.const_param(d_model, 0.0, dtype)
+            layer["ln2_g"] = T.const_param(d_model, 1.0, dtype)
+            layer["ln2_b"] = T.const_param(d_model, 0.0, dtype)
             hdim = ffn_mult * d_model
             layer["ffn_w1"], layer["ffn_b1"] = _head_init(rng, d_model, hdim, dtype)
-            kf = 1.0 / np.sqrt(hdim)
-            layer["ffn_w2"] = Tensor(rng.uniform(-kf, kf, (hdim, d_model)),
-                                     dtype=dtype, requires_grad=True)
-            layer["ffn_b2"] = Tensor(np.zeros(d_model), dtype=dtype, requires_grad=True)
+            layer["ffn_w2"] = T.uniform_param(rng, (hdim, d_model), hdim, dtype)
+            layer["ffn_b2"] = T.const_param(d_model, 0.0, dtype)
             self.layers.append(layer)
-        self.final_g = Tensor(np.ones(d_model), dtype=dtype, requires_grad=True)
-        self.final_b = Tensor(np.zeros(d_model), dtype=dtype, requires_grad=True)
+        self.final_g = T.const_param(d_model, 1.0, dtype)
+        self.final_b = T.const_param(d_model, 0.0, dtype)
         self.w_out, self.b_out = _head_init(rng, d_model, vocab_size, dtype)
 
     # -- batch path (tape) --

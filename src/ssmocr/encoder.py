@@ -108,11 +108,10 @@ class ConvEncoder:
         self.buffers_: dict[str, np.ndarray] = {}
         c_in = 1
         for s, c_out in enumerate(config.schedule):
-            bound = 1.0 / np.sqrt(c_in * KERNEL * KERNEL)
-            w = Tensor(rng.uniform(-bound, bound, (c_out, c_in, KERNEL, KERNEL)),
-                       dtype=dtype, requires_grad=True)
-            ng = Tensor(np.ones(c_out), dtype=dtype, requires_grad=True)
-            nb = Tensor(np.zeros(c_out), dtype=dtype, requires_grad=True)
+            w = T.uniform_param(rng, (c_out, c_in, KERNEL, KERNEL),
+                                c_in * KERNEL * KERNEL, dtype)
+            ng = T.const_param(c_out, 1.0, dtype)
+            nb = T.const_param(c_out, 0.0, dtype)
             self.stages.append({"w": w, "norm_g": ng, "norm_b": nb,
                                 "pool": tuple(config.pooling[s])})
             self.buffers_[f"stage{s}.running_mean"] = np.zeros(c_out, dtype=np.float64)
@@ -155,22 +154,27 @@ class ConvEncoder:
         return self.buffers_
 
 
+def positional_encoding_1d(n: int, d: int, dtype=np.float32) -> np.ndarray:
+    """Fixed sinusoid for positions 0..n-1: channels interleave sin/cos
+    over geometric wavelengths 10000^(2i/d)."""
+    i = np.arange(d // 2)
+    inv_freq = 1.0 / (10000.0 ** (2.0 * i / d))
+    pos = np.arange(n)[:, None] * inv_freq[None, :]
+    out = np.zeros((n, d), dtype=dtype)
+    out[:, 0::2] = np.sin(pos)
+    out[:, 1::2] = np.cos(pos)
+    return out
+
+
 def positional_encoding_2d(h: int, w: int, d: int, dtype=np.float32) -> np.ndarray:
-    """Fixed sinusoid: first d/2 channels encode the row index, last d/2
-    the column index; each half interleaves sin/cos over geometric
-    wavelengths 10000^(2i/(d/2))."""
+    """Fixed sinusoid: first d/2 channels are the 1-d encoding of the row
+    index, last d/2 that of the column index."""
     if d % 4 != 0:
         raise ConfigError(f"positional encoding needs d divisible by 4, got {d}")
     half = d // 2
-    out = np.zeros((h, w, d), dtype=dtype)
-    i = np.arange(half // 2)
-    inv_freq = 1.0 / (10000.0 ** (2.0 * i / half))
-    rows = np.arange(h)[:, None] * inv_freq[None, :]
-    cols = np.arange(w)[:, None] * inv_freq[None, :]
-    out[:, :, 0:half:2] = np.sin(rows)[:, None, :]
-    out[:, :, 1:half:2] = np.cos(rows)[:, None, :]
-    out[:, :, half::2] = np.sin(cols)[None, :, :]
-    out[:, :, half + 1 :: 2] = np.cos(cols)[None, :, :]
+    out = np.empty((h, w, d), dtype=dtype)
+    out[:, :, :half] = positional_encoding_1d(h, half, dtype)[:, None, :]
+    out[:, :, half:] = positional_encoding_1d(w, half, dtype)[None, :, :]
     return out
 
 

@@ -43,7 +43,7 @@ def read_pgm(path) -> np.ndarray:
     try:
         (w_tok, _), (h_tok, _), (mx_tok, end) = next(toks), next(toks), next(toks)
         width, height, maxval = int(w_tok), int(h_tok), int(mx_tok)
-    except (TypeError, ValueError) as e:
+    except (StopIteration, TypeError, ValueError) as e:
         raise PgmError(f"{path}: bad PGM header") from e
     if width < 1 or height < 1:
         raise PgmError(f"{path}: bad extents {width}x{height}")

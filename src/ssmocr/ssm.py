@@ -267,15 +267,6 @@ def causal_conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 # parameter bundles
 
 
-def _uniform(rng, shape, fan_in, dtype):
-    k = 1.0 / np.sqrt(fan_in)
-    return Tensor(rng.uniform(-k, k, size=shape), dtype=dtype, requires_grad=True)
-
-
-def _zeros(shape, dtype):
-    return Tensor(np.zeros(shape), dtype=dtype, requires_grad=True)
-
-
 class SsmParams:
     """Diagonal dynamics plus the input-dependent projections.
 
@@ -291,15 +282,15 @@ class SsmParams:
             np.tile(np.log(np.arange(1, n_state + 1)), (d_inner, 1)),
             dtype=dtype, requires_grad=True,
         )
-        self.w_b = _uniform(rng, (d_inner, n_state), d_inner, dtype)
-        self.b_b = _zeros(n_state, dtype)
-        self.w_c = _uniform(rng, (d_inner, n_state), d_inner, dtype)
-        self.b_c = _zeros(n_state, dtype)
-        self.w_dt = _uniform(rng, (d_inner, 1), d_inner, dtype)
+        self.w_b = T.uniform_param(rng, (d_inner, n_state), d_inner, dtype)
+        self.b_b = T.const_param(n_state, 0.0, dtype)
+        self.w_c = T.uniform_param(rng, (d_inner, n_state), d_inner, dtype)
+        self.b_c = T.const_param(n_state, 0.0, dtype)
+        self.w_dt = T.uniform_param(rng, (d_inner, 1), d_inner, dtype)
         dt = np.exp(rng.uniform(np.log(DT_INIT_RANGE[0]), np.log(DT_INIT_RANGE[1]),
                                 size=d_inner))
         self.dt_bias = Tensor(softplus_inverse(dt), dtype=dtype, requires_grad=True)
-        self.d_skip = Tensor(np.ones(d_inner), dtype=dtype, requires_grad=True)
+        self.d_skip = T.const_param(d_inner, 1.0, dtype)
 
     def project(self, u: Tensor):
         """Input-dependent (B, C, delta) from post-conv activations u (L, I);
@@ -351,13 +342,13 @@ class MambaBlock:
         self.d_inner = expand * d_model
         self.n_state = n_state
         i = self.d_inner
-        self.w_in = _uniform(rng, (d_model, 2 * i), d_model, dtype)
-        self.b_in = _zeros(2 * i, dtype)
-        self.conv_w = _uniform(rng, (i, CONV_WIDTH), CONV_WIDTH, dtype)
-        self.conv_b = _zeros(i, dtype)
+        self.w_in = T.uniform_param(rng, (d_model, 2 * i), d_model, dtype)
+        self.b_in = T.const_param(2 * i, 0.0, dtype)
+        self.conv_w = T.uniform_param(rng, (i, CONV_WIDTH), CONV_WIDTH, dtype)
+        self.conv_b = T.const_param(i, 0.0, dtype)
         self.ssm = SsmParams(i, n_state, rng, dtype)
-        self.w_out = _uniform(rng, (i, d_model), i, dtype)
-        self.b_out = _zeros(d_model, dtype)
+        self.w_out = T.uniform_param(rng, (i, d_model), i, dtype)
+        self.b_out = T.const_param(d_model, 0.0, dtype)
 
     def forward(self, x: Tensor) -> Tensor:
         i = self.d_inner
@@ -456,18 +447,18 @@ class BiMambaConnector:
                  ffn_mult: int = 4, *, rng, dtype="f32"):
         d = d_model
         self.d_model = d
-        self.norm1_g = Tensor(np.ones(d), dtype=dtype, requires_grad=True)
-        self.norm1_b = _zeros(d, dtype)
-        self.w1 = _uniform(rng, (d, d), d, dtype)
-        self.b1 = _zeros(d, dtype)
+        self.norm1_g = T.const_param(d, 1.0, dtype)
+        self.norm1_b = T.const_param(d, 0.0, dtype)
+        self.w1 = T.uniform_param(rng, (d, d), d, dtype)
+        self.b1 = T.const_param(d, 0.0, dtype)
         self.block = MambaBlock(d, n_state, expand, rng=rng, dtype=dtype)
-        self.norm2_g = Tensor(np.ones(d), dtype=dtype, requires_grad=True)
-        self.norm2_b = _zeros(d, dtype)
+        self.norm2_g = T.const_param(d, 1.0, dtype)
+        self.norm2_b = T.const_param(d, 0.0, dtype)
         h = ffn_mult * d
-        self.ffn_w1 = _uniform(rng, (d, h), d, dtype)
-        self.ffn_b1 = _zeros(h, dtype)
-        self.ffn_w2 = _uniform(rng, (h, d), h, dtype)
-        self.ffn_b2 = _zeros(d, dtype)
+        self.ffn_w1 = T.uniform_param(rng, (d, h), d, dtype)
+        self.ffn_b1 = T.const_param(h, 0.0, dtype)
+        self.ffn_w2 = T.uniform_param(rng, (h, d), h, dtype)
+        self.ffn_b2 = T.const_param(d, 0.0, dtype)
 
     def forward(self, x: Tensor) -> Tensor:
         xt = T.gelu(T.linear(
@@ -495,8 +486,8 @@ class MambaLayer:
 
     def __init__(self, d_model: int, n_state: int = 16, expand: int = 2, *,
                  rng, dtype="f32"):
-        self.norm_g = Tensor(np.ones(d_model), dtype=dtype, requires_grad=True)
-        self.norm_b = _zeros(d_model, dtype)
+        self.norm_g = T.const_param(d_model, 1.0, dtype)
+        self.norm_b = T.const_param(d_model, 0.0, dtype)
         self.block = MambaBlock(d_model, n_state, expand, rng=rng, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:

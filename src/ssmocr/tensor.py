@@ -95,6 +95,17 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.dtype}{flag})"
 
 
+def uniform_param(rng, shape, fan_in: int, dtype) -> Tensor:
+    """Trainable weights drawn from U(-1/sqrt(fan_in), 1/sqrt(fan_in))."""
+    k = 1.0 / np.sqrt(fan_in)
+    return Tensor(rng.uniform(-k, k, size=shape), dtype=dtype, requires_grad=True)
+
+
+def const_param(shape, value: float, dtype) -> Tensor:
+    """Trainable weights all set to value (layernorm gains, biases)."""
+    return Tensor(np.full(shape, value), dtype=dtype, requires_grad=True)
+
+
 class Node:
     """One recorded operation: inputs, outputs, and the gradient closure."""
 

@@ -108,10 +108,14 @@ class TestTrainEvalDecode:
         good = tmp_path / "ok.pgm"
         write_pgm(good, render_line("ab", GlyphSet(scale=2), height_px=32))
         bad = tmp_path / "missing.pgm"
+        short = tmp_path / "short.pgm"
+        short.write_bytes(b"P5\n3")  # header ends before the height
         r = run_cli("decode", "--checkpoint", str(workdir / "run" / "last.ckpt"),
-                    str(bad), str(good))
+                    str(bad), str(short), str(good))
         assert r.returncode == 1
         assert "missing.pgm" in r.stderr
+        assert str(short) in r.stderr
+        assert "Traceback" not in r.stderr
         assert len(r.stdout.splitlines()) == 1  # the good image still decoded
 
     def test_train_unknown_config_key(self, workdir, tmp_path):

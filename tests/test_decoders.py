@@ -23,6 +23,78 @@ def ctc_brute_force(logp, targets):
     return -total
 
 
+def ctc_loss_two_recursions(z, targets):
+    """The CTC loss and gradient with alpha and beta written out as two
+    separate recursions, one frame at a time: the formulation that the
+    single reversed-lattice recursion of ``D.ctc_loss`` must reproduce
+    bit for bit."""
+    targets = np.asarray(targets, dtype=np.int64)
+    zf = z.astype(np.float64)
+    m = zf.max(axis=-1, keepdims=True)
+    logp = zf - (m + np.log(np.exp(zf - m).sum(axis=-1, keepdims=True)))
+    n_frames = z.shape[0]
+    s_len = 2 * targets.size + 1
+    ext = np.zeros(s_len, dtype=np.int64)
+    ext[1::2] = targets
+    allow = np.zeros(s_len, dtype=bool)
+    for s in range(2, s_len):
+        allow[s] = ext[s] != 0 and ext[s] != ext[s - 2]
+    neg = -np.inf
+    alpha = np.full((n_frames, s_len), neg)
+    alpha[0, 0] = logp[0, ext[0]]
+    if s_len > 1:
+        alpha[0, 1] = logp[0, ext[1]]
+    for t in range(1, n_frames):
+        prev = alpha[t - 1]
+        acc = np.logaddexp(prev, np.concatenate([[neg], prev])[:s_len])
+        skip = np.concatenate([[neg, neg], prev])[:s_len]
+        acc = np.where(allow, np.logaddexp(acc, skip), acc)
+        alpha[t] = acc + logp[t, ext]
+    log_z = alpha[-1, -1]
+    if s_len > 1:
+        log_z = np.logaddexp(log_z, alpha[-1, -2])
+    beta = np.full((n_frames, s_len), neg)
+    beta[-1, -1] = logp[-1, ext[-1]]
+    if s_len > 1:
+        beta[-1, -2] = logp[-1, ext[-2]]
+    allow_fwd = np.zeros(s_len, dtype=bool)
+    allow_fwd[: s_len - 2] = allow[2:]
+    for t in range(n_frames - 2, -1, -1):
+        nxt = beta[t + 1]
+        acc = np.logaddexp(nxt, np.concatenate([nxt[1:], [neg]]))
+        skip = np.concatenate([nxt[2:], [neg, neg]])[:s_len]
+        acc = np.where(allow_fwd, np.logaddexp(acc, skip), acc)
+        beta[t] = acc + logp[t, ext]
+    gamma = np.zeros_like(zf)
+    with np.errstate(under="ignore"):
+        occ = np.exp(alpha + beta - logp[:, ext] - log_z)
+    for s in range(s_len):
+        gamma[:, ext[s]] += occ[:, s]
+    grad = (np.exp(logp) - gamma) * 1.0
+    return np.asarray(-log_z, dtype=z.dtype), grad.astype(z.dtype)
+
+
+def random_lattice(rng, dtype):
+    """Random logits and targets: repeated labels, the empty target, and
+    frame counts from exactly the required number upwards."""
+    n_classes = int(rng.integers(2, 8))
+    t_len = int(rng.integers(0, 7))
+    targets = rng.integers(1, n_classes, size=t_len)
+    if t_len > 1 and rng.random() < 0.4:
+        targets[1:] = np.where(rng.random(t_len - 1) < 0.5, targets[:-1], targets[1:])
+    required = max(D.ctc_required_frames(targets), 1)
+    n_frames = required if rng.random() < 0.3 else required + int(rng.integers(1, 9))
+    scale = rng.uniform(0.1, 6.0)
+    return (rng.standard_normal((n_frames, n_classes)) * scale).astype(dtype), targets
+
+
+def ctc_value_and_grad(z, targets):
+    x = Tensor(z, requires_grad=True)
+    loss = D.ctc_loss(x, targets)
+    T.backward(loss)
+    return loss.data, x.grad
+
+
 def softmax_rows(z):
     e = np.exp(z - z.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
@@ -81,6 +153,36 @@ class TestCtcLoss:
     def test_bad_target_id(self):
         with pytest.raises(V.VocabularyError):
             D.ctc_loss(Tensor(np.zeros((3, 3)), dtype="f64"), [0])
+
+    def test_zero_frames_raise(self):
+        with pytest.raises(D.InfeasibleAlignmentError):
+            D.ctc_loss(Tensor(np.zeros((0, 3)), dtype="f64"), [])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_two_recursions(self, dtype):
+        rng = np.random.default_rng(13)
+        kinds = set()
+        for _ in range(150):
+            z, targets = random_lattice(rng, dtype)
+            want_loss, want_grad = ctc_loss_two_recursions(z, targets)
+            loss, grad = ctc_value_and_grad(z, targets)
+            assert loss.dtype == want_loss.dtype and grad.dtype == want_grad.dtype
+            assert loss.tobytes() == want_loss.tobytes(), (z.shape, targets)
+            assert grad.tobytes() == want_grad.tobytes(), (z.shape, targets)
+            kinds.add(("empty" if targets.size == 0 else
+                       "repeat" if np.any(targets[1:] == targets[:-1]) else "plain",
+                       z.shape[0] == max(D.ctc_required_frames(targets), 1)))
+        # every lattice kind, each at the minimum and above it
+        assert len(kinds) == 6
+
+    def test_gradient_rows_sum_to_zero(self):
+        # softmax and the occupation probabilities are both distributions
+        # per frame, so any error in beta shows as a nonzero row sum
+        rng = np.random.default_rng(14)
+        for _ in range(100):
+            z, targets = random_lattice(rng, np.float64)
+            _, grad = ctc_value_and_grad(z, targets)
+            assert np.abs(grad.sum(axis=1)).max() < 1e-12, (z.shape, targets)
 
 
 class TestCtcGreedy:

@@ -113,6 +113,19 @@ class TestPositionalEncoding:
             assert np.isclose(pe[r, c, half + 2 * i], np.sin(c * freq))
             assert np.isclose(pe[r, c, half + 2 * i + 1], np.cos(c * freq))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_halves_are_the_1d_tables(self, dtype):
+        h, w, d = 5, 9, 24
+        pe = E.positional_encoding_2d(h, w, d, dtype)
+        rows = E.positional_encoding_1d(h, d // 2, dtype)
+        cols = E.positional_encoding_1d(w, d // 2, dtype)
+        assert pe.dtype == dtype
+        half = (h, w, d // 2)
+        assert (np.ascontiguousarray(pe[:, :, :d // 2]).tobytes()
+                == np.broadcast_to(rows[:, None], half).tobytes())
+        assert (np.ascontiguousarray(pe[:, :, d // 2:]).tobytes()
+                == np.broadcast_to(cols[None], half).tobytes())
+
     def test_d_not_divisible_by_four_rejected(self):
         with pytest.raises(E.ConfigError):
             E.positional_encoding_2d(2, 2, 6)
@@ -187,6 +200,13 @@ class TestPgm:
         p = tmp_path / "bad.pgm"
         p.write_bytes(b"P6\n1 1\n255\n\x00")
         with pytest.raises(pgm.PgmError, match="magic"):
+            pgm.read_pgm(p)
+
+    @pytest.mark.parametrize("data", [b"P5", b"P5\n3"])
+    def test_short_header_rejected(self, tmp_path, data):
+        p = tmp_path / "short.pgm"
+        p.write_bytes(data)
+        with pytest.raises(pgm.PgmError, match="header"):
             pgm.read_pgm(p)
 
     def test_truncated_raw_rejected(self, tmp_path):

@@ -86,6 +86,8 @@ class TestConfig:
         ("encoder.channels", "4,0,8,8"),
         ("encoder.pooling", "2x2,2x2,2x2,2x1"), ("encoder.pooling", "2x2,2x2,2x2,2x1,0x1"),
         ("model.d", "30"), ("model.d", "0"), ("model.d", "-8"),
+        ("model.n_state", "0"), ("model.expand", "0"), ("model.layers", "0"),
+        ("model.layers", "-1"),
     ])
     def test_unusable_shape_rejected_by_key(self, key, value):
         # rejected when the config is built, before any data loads
