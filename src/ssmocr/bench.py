@@ -21,7 +21,7 @@ import numpy as np
 from .config import RunConfig
 
 DEFAULT_LENGTHS = (100, 300, 600, 1000)
-ITEMSIZE = {"f32": 4, "f64": 8}
+ITEMSIZE = 4  # bytes per f32 state element
 
 
 class BenchConfigError(RuntimeError):
@@ -74,22 +74,21 @@ def require_single_thread() -> None:
 # exact byte accounting
 
 
-def mamba_cache_bytes(cfg: RunConfig, output_len: int, dtype: str = "f32") -> int:
+def mamba_cache_bytes(cfg: RunConfig, output_len: int) -> int:
     """Per-stream decoder state: layers * (inner state + conv window).
     Independent of output_len by construction."""
     if output_len < 1:
         raise ValueError("output_len must be >= 1")
     d_inner = cfg.expand * cfg.d_model
     per_layer = d_inner * cfg.n_state + 3 * d_inner
-    return cfg.layers * per_layer * ITEMSIZE[dtype]
+    return cfg.layers * per_layer * ITEMSIZE
 
 
-def attention_cache_bytes(cfg: RunConfig, prefill: int, output_len: int,
-                          dtype: str = "f32") -> int:
+def attention_cache_bytes(cfg: RunConfig, prefill: int, output_len: int) -> int:
     """Key/value rows for every stream position: 2*(L+t)*D per layer."""
     if output_len < 1:
         raise ValueError("output_len must be >= 1")
-    return cfg.layers * 2 * (prefill + output_len) * cfg.d_model * ITEMSIZE[dtype]
+    return cfg.layers * 2 * (prefill + output_len) * cfg.d_model * ITEMSIZE
 
 
 @dataclass

@@ -189,7 +189,7 @@ def collect_from_model(model, config_map: dict[str, str], rng_state=None,
     if extra:
         tensors.update(extra)
     return Checkpoint(
-        model_kind=model.kind,
+        model_kind=model.cfg.model_kind,
         config=config_map,
         vocab_chars="".join(model.vocab.chars),
         tensors=tensors,

@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     bp = sub.add_parser("bench", help="memory-scaling and latency benchmark")
     bp.add_argument("--config", help="model dims config (default: desk preset)")
     bp.add_argument("--out-dir", default="bench-out")
-    bp.add_argument("--lengths", default="100,300,600,1000")
+    bp.add_argument("--lengths", default=",".join(map(str, B.DEFAULT_LENGTHS)))
     bp.add_argument("--prefill", type=int, default=200,
                     help="visual positions held fixed across lengths")
     bp.add_argument("--steps", type=int, default=500,

@@ -7,6 +7,7 @@ fall back to defaults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 
@@ -15,7 +16,6 @@ class ConfigError(ValueError):
 
 
 MODEL_KINDS = ("mamba-ctc", "mamba-ar", "mamba-nar", "attn-ar-baseline")
-PRESETS = ("desk", "paper")
 
 
 def _parse_bool(v: str) -> bool:
@@ -39,6 +39,14 @@ def _parse_pooling(v: str) -> tuple:
     return tuple(out)
 
 
+def min_image_size(pooling) -> tuple[int, int]:
+    """Smallest (height, width) image the encoder accepts under a pooling
+    schedule: the product of the row factors, and half that of the column
+    factors."""
+    return (math.prod(p[0] for p in pooling),
+            max(math.prod(p[1] for p in pooling) // 2, 1))
+
+
 def _positive_ints(v, n: int) -> bool:
     """v is a tuple or list of exactly n positive ints."""
     return (isinstance(v, (tuple, list)) and len(v) == n
@@ -60,7 +68,6 @@ def _fmt(v) -> str:
 @dataclass
 class RunConfig:
     model_kind: str = "mamba-ctc"
-    preset: str = "desk"
     seed: int = 42
     # dims
     d_model: int = 64
@@ -105,8 +112,6 @@ class RunConfig:
         if self.model_kind not in MODEL_KINDS:
             raise ConfigError(
                 f"unknown model.kind {self.model_kind!r}; one of {MODEL_KINDS}")
-        if self.preset not in PRESETS:
-            raise ConfigError(f"unknown model.preset {self.preset!r}")
         for key, value in (("seed", self.seed), ("augment.seed", self.augment_seed)):
             if value < 0:
                 raise ConfigError(f"{key} must be non-negative, got {value}")
@@ -127,12 +132,17 @@ class RunConfig:
                 and all(_positive_ints(p, 2) for p in pooling)):
             raise ConfigError(
                 f"encoder.pooling must be 5 positive pairs, got {self.enc_pooling!r}")
+        min_h, min_w = min_image_size(pooling)
+        for key, value, least in (("encoder.pad_min_h", self.pad_min_h, min_h),
+                                  ("encoder.pad_min_w", self.pad_min_w, min_w)):
+            if value < least:
+                raise ConfigError(f"{key} must be at least the encoder minimum "
+                                  f"{least} under this pooling, got {value}")
 
 
 # dotted config key -> (attribute, parser)
 KEYMAP = {
     "model.kind": ("model_kind", str),
-    "model.preset": ("preset", str),
     "model.d": ("d_model", int),
     "model.n_state": ("n_state", int),
     "model.expand": ("expand", int),
@@ -171,7 +181,8 @@ KEYMAP = {
 # with the only values that recipe matches
 RETIRED_KEYS = {"encoder.norm": "batch", "encoder.act": "silu"}
 
-# preset defaults applied before explicit keys
+# model.preset -> the defaults it selects; explicit keys override them, and
+# the preset itself is not kept once the config is built
 PRESET_OVERRIDES = {
     "desk": {},
     "paper": {
@@ -200,15 +211,16 @@ def parse_config_text(text: str, path: str = "<config>") -> dict[str, str]:
 
 
 def config_from_mapping(entries: dict[str, str]) -> RunConfig:
+    """Build a RunConfig: the ``model.preset`` entry picks the defaults,
+    and every other entry sets the field KEYMAP names."""
+    entries = dict(entries)
+    preset = entries.pop("model.preset", "desk")
     unknown = [k for k in entries if k not in KEYMAP]
     if unknown:
         raise ConfigError(f"unknown config key {unknown[0]!r}")
-    kwargs = {}
-    preset = entries.get("model.preset", "desk")
-    if preset not in PRESETS:
+    if preset not in PRESET_OVERRIDES:
         raise ConfigError(f"unknown model.preset {preset!r}")
-    kwargs.update(PRESET_OVERRIDES[preset])
-    kwargs["preset"] = preset
+    kwargs = dict(PRESET_OVERRIDES[preset])
     for key, raw in entries.items():
         attr, parser = KEYMAP[key]
         try:

@@ -23,7 +23,7 @@ import numpy as np
 from . import tensor as T
 from . import vocab as V
 from .encoder import positional_encoding_1d
-from .ssm import MambaLayer, RecurrentState
+from .ssm import FFN_MULT, MambaLayer, RecurrentState
 from .tensor import Tensor
 
 NEG_MASK = -1e30  # additive logit mask; finite so softmax stays NaN-free
@@ -420,7 +420,7 @@ class AttentionBaselineDecoder:
     each layer keeps exactly one K/V pair per stream position:
     cache bytes = 2 * (L + t) * D * layers * itemsize."""
 
-    def __init__(self, d_model, vocab_size, n_layers=4, n_heads=4, ffn_mult=4,
+    def __init__(self, d_model, vocab_size, n_layers=4, n_heads=4,
                  max_ctx=4096, max_len=512, *, rng, dtype="f32"):
         if d_model % n_heads:
             raise T.ShapeError(f"d_model {d_model} not divisible by {n_heads} heads")
@@ -440,7 +440,7 @@ class AttentionBaselineDecoder:
             layer["ln1_b"] = T.const_param(d_model, 0.0, dtype)
             layer["ln2_g"] = T.const_param(d_model, 1.0, dtype)
             layer["ln2_b"] = T.const_param(d_model, 0.0, dtype)
-            hdim = ffn_mult * d_model
+            hdim = FFN_MULT * d_model
             layer["ffn_w1"], layer["ffn_b1"] = _head_init(rng, d_model, hdim, dtype)
             layer["ffn_w2"] = T.uniform_param(rng, (hdim, d_model), hdim, dtype)
             layer["ffn_b2"] = T.const_param(d_model, 0.0, dtype)

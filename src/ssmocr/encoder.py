@@ -8,13 +8,12 @@ decoding head consumes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .config import ConfigError
+from .config import ConfigError, min_image_size
 from .tensor import Tensor
 
 
@@ -22,44 +21,7 @@ class InputError(ValueError):
     """Image does not meet the encoder's input contract."""
 
 
-DEFAULT_CHANNELS = (16, 32, 64, 128)  # stage 5 outputs d_model
 KERNEL = 3  # square conv kernel of every stage
-DEFAULT_POOLING = ((2, 2), (2, 2), (2, 2), (2, 2), (2, 1))
-
-
-@dataclass
-class EncoderConfig:
-    d_model: int = 64
-    channels: tuple = DEFAULT_CHANNELS  # first four stages
-    pooling: tuple = DEFAULT_POOLING
-    pad_min_h: int = 100      # white-padding minima applied by prepare_image
-    pad_min_w: int = 1000
-
-    def __post_init__(self):
-        if len(self.channels) != 4 or len(self.schedule) != 5:
-            raise ConfigError("encoder needs a 5-stage channel schedule")
-        if len(self.pooling) != 5:
-            raise ConfigError("encoder needs a 5-stage pooling schedule")
-
-    @property
-    def schedule(self) -> tuple:
-        return tuple(self.channels) + (self.d_model,)
-
-    @property
-    def v_factor(self) -> int:
-        return math.prod(p[0] for p in self.pooling)
-
-    @property
-    def h_factor(self) -> int:
-        return math.prod(p[1] for p in self.pooling)
-
-    @property
-    def min_h(self) -> int:
-        return self.v_factor
-
-    @property
-    def min_w(self) -> int:
-        return max(self.h_factor // 2, 1)
 
 
 def prepare_image(img: np.ndarray, min_h: int, min_w: int) -> np.ndarray:
@@ -99,21 +61,23 @@ class FeatureGrid:
 
 
 class ConvEncoder:
-    """Five (conv3x3 -> batchnorm -> SiLU -> max-pool) stages."""
+    """Five (conv3x3 -> batchnorm -> SiLU -> max-pool) stages: the first
+    four output ``channels``, the fifth ``d_model``, and stage s pools by
+    ``pooling[s]`` (rows, columns)."""
 
-    def __init__(self, config: EncoderConfig, *, rng, dtype="f32"):
-        self.config = config
+    def __init__(self, d_model: int, channels, pooling, *, rng, dtype="f32"):
         self.training = True
+        self.min_size = min_image_size(pooling)
         self.stages = []
         self.buffers_: dict[str, np.ndarray] = {}
         c_in = 1
-        for s, c_out in enumerate(config.schedule):
+        for s, c_out in enumerate((*channels, d_model)):
             w = T.uniform_param(rng, (c_out, c_in, KERNEL, KERNEL),
                                 c_in * KERNEL * KERNEL, dtype)
             ng = T.const_param(c_out, 1.0, dtype)
             nb = T.const_param(c_out, 0.0, dtype)
             self.stages.append({"w": w, "norm_g": ng, "norm_b": nb,
-                                "pool": tuple(config.pooling[s])})
+                                "pool": tuple(pooling[s])})
             self.buffers_[f"stage{s}.running_mean"] = np.zeros(c_out, dtype=np.float64)
             self.buffers_[f"stage{s}.running_var"] = np.ones(c_out, dtype=np.float64)
             c_in = c_out
@@ -124,10 +88,10 @@ class ConvEncoder:
         if image.ndim != 2:
             raise InputError(f"encoder expects a 2-d image, got shape {image.shape}")
         h, w = image.shape
-        cfg = self.config
-        if h < cfg.min_h or w < cfg.min_w:
+        min_h, min_w = self.min_size
+        if h < min_h or w < min_w:
             raise InputError(
-                f"image {h}x{w} below encoder minima {cfg.min_h}x{cfg.min_w} "
+                f"image {h}x{w} below encoder minima {min_h}x{min_w} "
                 "(after padding policy)"
             )
         dt = self.stages[0]["w"].dtype

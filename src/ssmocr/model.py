@@ -10,7 +10,7 @@ from . import tensor as T
 from .config import RunConfig
 from .decoders import (ArDecoder, AttentionBaselineDecoder, CtcDecoder,
                        NarDecoder, ctc_greedy_decode, nar_decode)
-from .encoder import ConvEncoder, EncoderConfig, flatten_grid, positional_encode_2d, prepare_image
+from .encoder import ConvEncoder, flatten_grid, positional_encode_2d, prepare_image
 from .ssm import BiMambaConnector
 from .vocab import Vocabulary
 
@@ -22,20 +22,15 @@ class TranscribeResult:
 
 
 class OcrModel:
-    def __init__(self, kind: str, vocabulary: Vocabulary, cfg: RunConfig, rng):
-        self.kind = kind
+    def __init__(self, vocabulary: Vocabulary, cfg: RunConfig, rng):
         self.vocab = vocabulary
         self.cfg = cfg
-        enc_cfg = EncoderConfig(
-            d_model=cfg.d_model, channels=tuple(cfg.enc_channels),
-            pooling=tuple(cfg.enc_pooling),
-            pad_min_h=cfg.pad_min_h, pad_min_w=cfg.pad_min_w,
-        )
-        self.encoder = ConvEncoder(enc_cfg, rng=rng)
+        self.encoder = ConvEncoder(cfg.d_model, cfg.enc_channels, cfg.enc_pooling, rng=rng)
         self.connector = BiMambaConnector(cfg.d_model, n_state=cfg.n_state,
                                           expand=cfg.expand, rng=rng)
         common = dict(n_layers=cfg.layers, n_state=cfg.n_state,
                       expand=cfg.expand, rng=rng)
+        kind = cfg.model_kind
         if kind == "mamba-ctc":
             self.decoder = CtcDecoder(cfg.d_model, vocabulary.ctc_size, **common)
         elif kind == "mamba-ar":
@@ -61,15 +56,14 @@ class OcrModel:
 
     def encode(self, image: np.ndarray) -> T.Tensor:
         """Image to the connector output (L, D)."""
-        cfg = self.encoder.config
-        prepared = prepare_image(image, cfg.pad_min_h, cfg.pad_min_w)
+        prepared = prepare_image(image, self.cfg.pad_min_h, self.cfg.pad_min_w)
         grid = positional_encode_2d(self.encoder.forward(prepared))
         return self.connector.forward(flatten_grid(grid))
 
     def loss(self, image: np.ndarray, text: str) -> T.Tensor:
         h = self.encode(image)
         ids = self.vocab.encode(text)
-        if self.kind == "mamba-ctc":
+        if self.cfg.model_kind == "mamba-ctc":
             return self.decoder.loss(h, self.vocab.to_ctc(ids))
         return self.decoder.loss(h, ids)
 
@@ -77,10 +71,10 @@ class OcrModel:
                    max_len: int | None = None) -> TranscribeResult:
         with T.no_grad():
             h = self.encode(image)
-            if self.kind == "mamba-ctc":
+            if self.cfg.model_kind == "mamba-ctc":
                 return TranscribeResult(ctc_greedy_decode(
                     self.decoder.frame_logits(h), self.vocab))
-            if self.kind == "mamba-nar":
+            if self.cfg.model_kind == "mamba-nar":
                 res = nar_decode(self.decoder.logits(h))
                 return TranscribeResult(self.vocab.decode(res.ids), res.truncated)
             gen = self.decoder.generate(h.data, max_len=max_len)
@@ -100,4 +94,4 @@ class OcrModel:
 def build_model(cfg: RunConfig, vocabulary: Vocabulary) -> OcrModel:
     """Deterministic construction: all weights come from the config seed."""
     rng = np.random.default_rng([cfg.seed, 0])
-    return OcrModel(cfg.model_kind, vocabulary, cfg, rng=rng)
+    return OcrModel(vocabulary, cfg, rng=rng)

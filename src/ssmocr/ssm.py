@@ -26,6 +26,7 @@ DT_INIT_RANGE = (1e-3, 1e-1)  # softplus(dt_bias) lands here
 # (rows, I, N) elements in one ZOH row block: the block's f32 temporaries
 # (256 KiB each) stay in a core's L2 instead of streaming through memory
 ZOH_BLOCK_ELEMS = 1 << 16
+FFN_MULT = 4  # feedforward width over d_model, connector and attention baseline
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +444,8 @@ class BiMambaConnector:
     and on the flipped sequence, fused by addition, wrapped in pre-norm
     residual plumbing with a GELU feedforward."""
 
-    def __init__(self, d_model: int, n_state: int = 16, expand: int = 2,
-                 ffn_mult: int = 4, *, rng, dtype="f32"):
+    def __init__(self, d_model: int, n_state: int = 16, expand: int = 2, *,
+                 rng, dtype="f32"):
         d = d_model
         self.d_model = d
         self.norm1_g = T.const_param(d, 1.0, dtype)
@@ -454,7 +455,7 @@ class BiMambaConnector:
         self.block = MambaBlock(d, n_state, expand, rng=rng, dtype=dtype)
         self.norm2_g = T.const_param(d, 1.0, dtype)
         self.norm2_b = T.const_param(d, 0.0, dtype)
-        h = ffn_mult * d
+        h = FFN_MULT * d
         self.ffn_w1 = T.uniform_param(rng, (d, h), d, dtype)
         self.ffn_b1 = T.const_param(h, 0.0, dtype)
         self.ffn_w2 = T.uniform_param(rng, (h, d), h, dtype)

@@ -9,7 +9,7 @@ binary PGM files plus TAB-separated manifests.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -174,22 +174,19 @@ def _build_font() -> dict[str, tuple[int, ...]]:
     return font
 
 
+FONT = _build_font()
+GLYPH_SPACING = 1  # blank glyph columns between neighbours, before scaling
+
+
 @dataclass
 class GlyphSet:
-    """5x7 bitmaps with an integer pixel scale and inter-glyph spacing
-    (both in pre-scale glyph columns)."""
+    """The 5x7 font at an integer pixel scale; characters it lacks draw
+    as FALLBACK_BOX."""
 
-    glyphs: dict[str, tuple[int, ...]] = field(default_factory=_build_font)
     scale: int = 3
-    spacing: int = 1
-    fallback: tuple | None = FALLBACK_BOX
 
     def bitmap(self, ch: str) -> np.ndarray:
-        rows = self.glyphs.get(ch)
-        if rows is None:
-            if self.fallback is None:
-                raise RenderError(f"no glyph for character {ch!r} and no fallback")
-            rows = self.fallback
+        rows = FONT.get(ch, FALLBACK_BOX)
         bits = np.array(
             [[(r >> (GLYPH_W - 1 - c)) & 1 for c in range(GLYPH_W)] for r in rows],
             dtype=bool,
@@ -198,11 +195,11 @@ class GlyphSet:
 
     def coverage(self, text: str) -> set[str]:
         """Characters in text without a native glyph."""
-        return {ch for ch in text if ch not in self.glyphs}
+        return {ch for ch in text if ch not in FONT}
 
     @property
     def cell_w(self) -> int:
-        return (GLYPH_W + self.spacing) * self.scale
+        return (GLYPH_W + GLYPH_SPACING) * self.scale
 
     @property
     def line_core_h(self) -> int:
@@ -216,7 +213,7 @@ class GlyphSet:
 def _render_core(text: str, gs: GlyphSet) -> np.ndarray:
     """Glyph band only: height 7*scale, horizontal margins included."""
     m = gs.margin
-    width = 2 * m + (len(text) * gs.cell_w - gs.spacing * gs.scale if text else 0)
+    width = 2 * m + (len(text) * gs.cell_w - GLYPH_SPACING * gs.scale if text else 0)
     img = np.full((gs.line_core_h, width), 255, dtype=np.uint8)
     x = m
     for ch in text:
@@ -245,23 +242,22 @@ def render_line(text: str, gs: GlyphSet | None = None,
 MAX_PARAGRAPH_LINES = 10
 
 
-def render_paragraph(lines, gs: GlyphSet | None = None, spacing: int | None = None,
-                     max_lines: int = MAX_PARAGRAPH_LINES):
-    """Stacked line renders with fixed leading.
+def render_paragraph(lines, gs: GlyphSet | None = None):
+    """Stacked line renders with a fixed leading of 2*scale.
 
     Returns (image, transcript) with the transcript joining the lines by
-    newline. Height = n*line_h + (n-1)*spacing + 2*margin.
+    newline. Height = n*line_h + (n-1)*leading + 2*margin.
     """
     gs = gs or GlyphSet()
     lines = list(lines)
-    if not 1 <= len(lines) <= max_lines:
-        raise RenderError(f"paragraph needs 1..{max_lines} lines, got {len(lines)}")
-    spacing = gs.scale * 2 if spacing is None else spacing
+    if not 1 <= len(lines) <= MAX_PARAGRAPH_LINES:
+        raise RenderError(
+            f"paragraph needs 1..{MAX_PARAGRAPH_LINES} lines, got {len(lines)}")
     cores = [_render_core(t, gs) for t in lines]
     width = max(c.shape[1] for c in cores)
     cores = [np.pad(c, ((0, 0), (0, width - c.shape[1])), constant_values=255)
              for c in cores]
-    gap = np.full((spacing, width), 255, dtype=np.uint8)
+    gap = np.full((2 * gs.scale, width), 255, dtype=np.uint8)
     rows = [cores[0]]
     for c in cores[1:]:
         rows += [gap, c]
@@ -280,22 +276,11 @@ AUGMENT_OPS = ("blur", "noise", "elastic", "perspective", "morphology",
 
 @dataclass
 class AugmentSpec:
-    ops: tuple = AUGMENT_OPS
+    """Each op of AUGMENT_OPS fires with probability ``prob``; ``seed``
+    keys the order and every magnitude."""
+
     prob: float = 0.5
     seed: int = 0
-    blur_sigma: tuple = (0.3, 1.2)
-    noise_sigma: tuple = (4.0, 12.0)
-    elastic_alpha: tuple = (1.0, 4.0)
-    elastic_smooth: float = 4.0
-    perspective_jitter: float = 0.04
-    contrast_range: tuple = (0.7, 1.3)
-    brightness_range: tuple = (-20.0, 20.0)
-    sharpen_amount: tuple = (0.5, 1.5)
-
-    def __post_init__(self):
-        unknown = set(self.ops) - set(AUGMENT_OPS)
-        if unknown:
-            raise ValueError(f"unknown augment ops: {sorted(unknown)}")
 
 
 def _homography(src, dst) -> np.ndarray:
@@ -308,22 +293,22 @@ def _homography(src, dst) -> np.ndarray:
     return np.append(h, 1.0).reshape(3, 3)
 
 
-def _apply_op(name: str, img: np.ndarray, spec: AugmentSpec, rng) -> np.ndarray:
+def _apply_op(name: str, img: np.ndarray, rng) -> np.ndarray:
     f = img.astype(np.float64)
     h, w = img.shape
     if name == "blur":
-        f = ndimage.gaussian_filter(f, rng.uniform(*spec.blur_sigma))
+        f = ndimage.gaussian_filter(f, rng.uniform(0.3, 1.2))
     elif name == "noise":
-        f = f + rng.normal(0.0, rng.uniform(*spec.noise_sigma), f.shape)
+        f = f + rng.normal(0.0, rng.uniform(4.0, 12.0), f.shape)
     elif name == "elastic":
-        alpha = rng.uniform(*spec.elastic_alpha)
-        dy = ndimage.gaussian_filter(rng.uniform(-1, 1, f.shape), spec.elastic_smooth) * alpha
-        dx = ndimage.gaussian_filter(rng.uniform(-1, 1, f.shape), spec.elastic_smooth) * alpha
+        alpha = rng.uniform(1.0, 4.0)  # displacement in pixels, smoothed by sigma 4
+        dy = ndimage.gaussian_filter(rng.uniform(-1, 1, f.shape), 4.0) * alpha
+        dx = ndimage.gaussian_filter(rng.uniform(-1, 1, f.shape), 4.0) * alpha
         yy, xx = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
         f = ndimage.map_coordinates(f, [yy + dy, xx + dx], order=1,
                                     mode="constant", cval=255.0)
     elif name == "perspective":
-        j = spec.perspective_jitter
+        j = 0.04  # corner jitter, as a share of the side
         src = [(0, 0), (w - 1, 0), (w - 1, h - 1), (0, h - 1)]
         dst = [(x + rng.uniform(-j, j) * w, y + rng.uniform(-j, j) * h)
                for x, y in src]
@@ -339,24 +324,24 @@ def _apply_op(name: str, img: np.ndarray, spec: AugmentSpec, rng) -> np.ndarray:
         else:
             f = ndimage.grey_dilation(f, size=(2, 2))
     elif name == "contrast":
-        c = rng.uniform(*spec.contrast_range)
-        b = rng.uniform(*spec.brightness_range)
+        c = rng.uniform(0.7, 1.3)
+        b = rng.uniform(-20.0, 20.0)
         f = (f - 128.0) * c + 128.0 + b
     elif name == "sharpen":
-        amount = rng.uniform(*spec.sharpen_amount)
+        amount = rng.uniform(0.5, 1.5)
         f = f + amount * (f - ndimage.gaussian_filter(f, 1.0))
     return np.clip(np.rint(f), 0, 255).astype(np.uint8)
 
 
 def augment(img: np.ndarray, spec: AugmentSpec) -> np.ndarray:
-    """Each enabled op fires independently with spec.prob, in an order
+    """Each op fires independently with spec.prob, in an order
     shuffled by the seeded rng; bit-deterministic for (image, spec)."""
     rng = np.random.default_rng(spec.seed)
-    order = [spec.ops[i] for i in rng.permutation(len(spec.ops))]
+    order = [AUGMENT_OPS[i] for i in rng.permutation(len(AUGMENT_OPS))]
     out = img
     for name in order:
         if rng.random() < spec.prob:
-            out = _apply_op(name, out, spec, rng)
+            out = _apply_op(name, out, rng)
     return out
 
 
@@ -469,8 +454,22 @@ class SynthConfig:
     def __post_init__(self):
         if self.kind not in ("line", "paragraph"):
             raise ValueError(f"unknown dataset kind {self.kind!r}")
-        if abs(sum(self.splits) - 1.0) > 1e-9 or len(self.splits) != 3:
-            raise ValueError("splits must be three fractions summing to 1")
+        if (len(self.splits) != 3 or min(self.splits) < 0
+                or abs(sum(self.splits) - 1.0) > 1e-9):
+            raise ValueError("splits must be three non-negative fractions summing "
+                             f"to 1, got {tuple(self.splits)}")
+        for name, (lo, hi) in (("line_chars", self.line_chars),
+                               ("paragraph_lines", self.paragraph_lines)):
+            if not 1 <= lo <= hi:
+                raise ValueError(f"{name} must satisfy 1 <= min <= max, got ({lo}, {hi})")
+        if self.paragraph_lines[1] > MAX_PARAGRAPH_LINES:
+            raise ValueError(f"paragraph_lines max must be at most {MAX_PARAGRAPH_LINES}, "
+                             f"got {self.paragraph_lines[1]}")
+        if self.glyph_scale < 1:
+            raise ValueError(f"glyph_scale must be at least 1, got {self.glyph_scale}")
+        if self.kind == "line" and self.line_height < GLYPH_H * self.glyph_scale:
+            raise ValueError(f"line_height {self.line_height} is below the glyph height "
+                             f"{GLYPH_H * self.glyph_scale} at glyph_scale {self.glyph_scale}")
 
 
 @dataclass
@@ -512,7 +511,7 @@ def make_dataset(config: SynthConfig) -> DatasetInfo:
 
     n = config.n_samples
     n_train = int(round(config.splits[0] * n))
-    n_valid = int(round(config.splits[1] * n))
+    n_valid = min(int(round(config.splits[1] * n)), n - n_train)
     bounds = {"train": range(0, n_train),
               "valid": range(n_train, n_train + n_valid),
               "test": range(n_train + n_valid, n)}

@@ -139,11 +139,10 @@ class TestTiming:
             B.require_single_thread()
 
     def test_encoder_latency_monotone_in_width(self):
-        from ssmocr.encoder import ConvEncoder, EncoderConfig
+        from ssmocr.encoder import ConvEncoder
 
-        cfg = EncoderConfig(d_model=16, channels=(4, 4, 8, 8),
-                            pad_min_h=32, pad_min_w=16)
-        enc = ConvEncoder(cfg, rng=np.random.default_rng(0))
+        enc = ConvEncoder(16, (4, 4, 8, 8), ((2, 2), (2, 2), (2, 2), (2, 2), (2, 1)),
+                          rng=np.random.default_rng(0))
         enc.training = False
         narrow = np.zeros((32, 128), dtype=np.float32)
         wide = np.zeros((32, 256), dtype=np.float32)

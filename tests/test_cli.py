@@ -74,6 +74,17 @@ class TestSynth:
         assert "train: 8" in r.stdout
         assert (tmp_path / "d" / "train.tsv").exists()
 
+    @pytest.mark.parametrize("args,field", [
+        (("--min-chars", "0"), "line_chars"),
+        (("--splits", "1.2", "-0.1", "-0.1"), "splits"),
+    ])
+    def test_unusable_setting_named_before_writing(self, tmp_path, args, field):
+        r = run_cli("synth", "--out", str(tmp_path / "d"), "--n", "4", *args)
+        assert r.returncode == 1
+        assert field in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (tmp_path / "d").exists()
+
 
 class TestTrainEvalDecode:
     def test_eval_writes_reports(self, workdir):

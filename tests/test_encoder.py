@@ -4,27 +4,29 @@ import numpy as np
 import pytest
 
 from ssmocr import encoder as E
+from ssmocr.config import PRESET_OVERRIDES
 from ssmocr import pgm
 from ssmocr import tensor as T
 from ssmocr.tensor import Tensor
 
 
+PAPER_POOLING = PRESET_OVERRIDES["paper"]["enc_pooling"]
+
+
 def make_encoder(seed=0, d=16):
-    cfg = E.EncoderConfig(d_model=d, channels=(4, 4, 8, 8),
-                          pad_min_h=32, pad_min_w=16)
-    return E.ConvEncoder(cfg, rng=np.random.default_rng(seed)), cfg
+    return E.ConvEncoder(d, (4, 4, 8, 8), PAPER_POOLING, rng=np.random.default_rng(seed))
 
 
 class TestShapes:
     def test_default_pooling_shape_law_at_paper_minima(self):
-        enc, cfg = make_encoder()
+        enc = make_encoder()
         img = np.full((100, 1000), 0.5, dtype=np.float32)
         grid = enc.forward(img)
         assert (grid.height, grid.width) == (4, 63)
         assert grid.grid.shape == (4, 63, 16)
 
     def test_shape_law_random_extents(self):
-        enc, cfg = make_encoder()
+        enc = make_encoder()
         rng = np.random.default_rng(1)
         for _ in range(10):
             h = int(rng.integers(32, 200))
@@ -34,18 +36,18 @@ class TestShapes:
             assert grid.width == -(-w // 16)
 
     def test_doubling_width_doubles_grid_width(self):
-        enc, _ = make_encoder()
+        enc = make_encoder()
         w1 = enc.forward(np.zeros((32, 160), dtype=np.float32)).width
         w2 = enc.forward(np.zeros((32, 320), dtype=np.float32)).width
         assert abs(w2 - 2 * w1) <= 1
 
     def test_too_small_image_names_minima(self):
-        enc, _ = make_encoder()
+        enc = make_encoder()
         with pytest.raises(E.InputError, match="32x8"):
             enc.forward(np.zeros((8, 4), dtype=np.float32))
 
     def test_zero_image_zero_biases_gives_zero_grid(self):
-        enc, _ = make_encoder()
+        enc = make_encoder()
         for name, p in enc.params().items():
             if name.endswith(".b") or name.endswith("norm_b"):
                 p.data[...] = 0.0
@@ -54,23 +56,17 @@ class TestShapes:
 
     def test_stages_carry_no_conv_bias(self):
         # batchnorm's shift is each stage's only per-channel offset
-        enc, _ = make_encoder()
+        enc = make_encoder()
         assert sorted(enc.params()) == sorted(
             f"stage{s}.{k}" for s in range(5) for k in ("w", "norm_g", "norm_b"))
 
     def test_eval_mode_determinism(self):
-        enc, _ = make_encoder()
+        enc = make_encoder()
         enc.training = False
         img = np.random.default_rng(2).random((40, 64)).astype(np.float32)
         a = enc.forward(img).grid.data.tobytes()
         b = enc.forward(img).grid.data.tobytes()
         assert a == b
-
-    def test_bad_config_rejected(self):
-        with pytest.raises(E.ConfigError):
-            E.EncoderConfig(channels=(4, 4, 8))
-        with pytest.raises(E.ConfigError):
-            E.EncoderConfig(pooling=((2, 2),) * 3)
 
 
 class TestPrepareImage:
@@ -131,7 +127,7 @@ class TestPositionalEncoding:
             E.positional_encoding_2d(2, 2, 6)
 
     def test_translation_sensitivity(self):
-        enc, _ = make_encoder()
+        enc = make_encoder()
         img1 = np.ones((32, 64), dtype=np.float32)
         img2 = img1.copy()
         img1[8:16, 8:16] = 0.0
@@ -216,7 +212,7 @@ class TestPgm:
             pgm.read_pgm(p)
 
     def test_gradient_flows_through_encoder(self):
-        enc, _ = make_encoder(seed=5)
+        enc = make_encoder(seed=5)
         # f64 copy of the encoder for a quick backward smoke test
         for p in enc.params().values():
             p.data = p.data.astype(np.float64)

@@ -20,7 +20,7 @@ from ssmocr.vocab import Vocabulary
 
 # every RunConfig field set away from its default
 NON_DEFAULT = dict(
-    model_kind="attn-ar-baseline", preset="paper", seed=7, d_model=48, n_state=8,
+    model_kind="attn-ar-baseline", seed=7, d_model=48, n_state=8,
     expand=3, layers=2, t_max=90, max_len=300, enc_channels=(8, 8, 16, 16),
     enc_pooling=((2, 2), (2, 2), (2, 1), (2, 1), (2, 1)), pad_min_h=40, pad_min_w=24,
     lr=3e-4, beta1=0.8, beta2=0.99, weight_decay=0.0, clip_norm=2.5, batch_size=3,
@@ -88,6 +88,8 @@ class TestConfig:
         ("model.d", "30"), ("model.d", "0"), ("model.d", "-8"),
         ("model.n_state", "0"), ("model.expand", "0"), ("model.layers", "0"),
         ("model.layers", "-1"),
+        ("encoder.pad_min_h", "8"), ("encoder.pad_min_h", "31"),
+        ("encoder.pad_min_w", "3"), ("encoder.pad_min_w", "0"),
     ])
     def test_unusable_shape_rejected_by_key(self, key, value):
         # rejected when the config is built, before any data loads
@@ -98,6 +100,27 @@ class TestConfig:
         attrs = [attr for attr, _ in CFG.KEYMAP.values()]
         assert len(set(attrs)) == len(attrs)
         assert set(attrs) == {f.name for f in dataclasses.fields(CFG.RunConfig)}
+
+    def test_preset_is_a_file_key_not_a_field(self):
+        assert "model.preset" not in CFG.KEYMAP
+        assert "preset" not in {f.name for f in dataclasses.fields(CFG.RunConfig)}
+        cfg = CFG.config_from_mapping({"model.preset": "paper"})
+        assert "model.preset" not in CFG.config_to_mapping(cfg)
+        with pytest.raises(CFG.ConfigError, match="model.preset"):
+            CFG.config_from_mapping({"model.preset": "huge"})
+
+    @pytest.mark.parametrize("preset", ["desk", "paper"])
+    def test_echo_with_preset_key_loads(self, preset):
+        # checkpoints from before the preset stopped being a field echo it
+        cfg = CFG.RunConfig(**NON_DEFAULT)
+        echo = dict(CFG.config_to_mapping(cfg), **{"model.preset": preset})
+        assert CFG.config_from_checkpoint_mapping(echo) == cfg
+
+    def test_pad_minima_at_the_encoder_minima_accepted(self):
+        # the default pooling's smallest image is 32 rows by 4 columns
+        cfg = CFG.config_from_mapping({"encoder.pad_min_h": "32", "encoder.pad_min_w": "4"})
+        assert (cfg.pad_min_h, cfg.pad_min_w) == (32, 4)
+        assert CFG.min_image_size(cfg.enc_pooling) == (32, 4)
 
     def test_every_field_roundtrips_through_the_echo(self):
         cfg = CFG.RunConfig(**NON_DEFAULT)
@@ -325,7 +348,7 @@ class TestRetiredConvBias:
             h_plain = plain.encode(img).data
             h_folded = folded.encode(img).data
             # the stage recipe with the bias, on the legacy tensors as saved
-            cfg = folded.encoder.config
+            cfg = folded.cfg
             x = T.Tensor(prepare_image(img, cfg.pad_min_h, cfg.pad_min_w)[None])
             for s, st in enumerate(folded.encoder.stages):
                 bias = T.Tensor(legacy.tensors[f"encoder.stage{s}.b"])
