@@ -118,9 +118,14 @@ class RunConfig:
         if self.batch_size < 1:
             raise ConfigError(f"train.batch_size must be at least 1, got {self.batch_size}")
         for key, value in (("model.n_state", self.n_state), ("model.expand", self.expand),
-                           ("model.layers", self.layers)):
+                           ("model.layers", self.layers), ("model.t_max", self.t_max),
+                           ("model.max_len", self.max_len)):
             if value < 1:
                 raise ConfigError(f"{key} must be at least 1, got {value}")
+        for key, value in (("augment.prob", self.augment_prob),
+                           ("curriculum.synth_mix", self.synth_mix)):
+            if not 0.0 <= value <= 1.0:
+                raise ConfigError(f"{key} must lie in [0, 1], got {value}")
         if self.d_model <= 0 or self.d_model % 4:
             raise ConfigError(
                 f"model.d must be a positive multiple of 4, got {self.d_model}")

@@ -8,9 +8,10 @@ scaling benchmark.
 
 Both autoregressive decoders generate through one greedy loop
 (``_greedy``) over a per-token numpy step. The attention decoder's
-prefill is its batch forward run off the tape, which yields the K/V
-cache, copied once into preallocated buffers that each step writes one
-row of; the Mamba decoder's prefill is the recurrence in
+teacher forcing and prefill are one batch forward through the
+row-blocked ``causal_attention`` op; the prefill runs it off the tape,
+and copies the K/V rows once into preallocated buffers that each step
+writes one row of. The Mamba decoder's prefill is the recurrence in
 ``MambaLayer.forward_np``, which yields the final state.
 """
 
@@ -27,6 +28,9 @@ from .ssm import FFN_MULT, MambaLayer, RecurrentState
 from .tensor import Tensor
 
 NEG_MASK = -1e30  # additive logit mask; finite so softmax stays NaN-free
+# query rows per ``causal_attention`` block: 1.4 MiB of f32 scores at 4
+# heads and 1,400 rows; 32 to 128 time a long prefill within 10 %
+ATTN_BLOCK_ROWS = 64
 
 
 class InfeasibleAlignmentError(ValueError):
@@ -218,6 +222,25 @@ class GenerationResult:
         self.steps = len(self.step_logits)
 
 
+def _check_targets(target_ids, max_len: int, vocab_size: int) -> np.ndarray:
+    """The gold ids of an autoregressive head as an int64 array, refused
+    when longer than max_len or outside the embedding table."""
+    target_ids = np.asarray(target_ids, dtype=np.int64)
+    if target_ids.size > max_len:
+        raise TargetTooLongError(f"target length {target_ids.size} exceeds max_len {max_len}")
+    if target_ids.size and (target_ids.min() < 0 or target_ids.max() >= vocab_size):
+        raise V.VocabularyError("target id outside the embedding table")
+    return target_ids
+
+
+def _generation_budget(max_len: int | None, limit: int) -> int:
+    """max_len, or limit when None; refused above limit."""
+    max_len = limit if max_len is None else max_len
+    if max_len > limit:
+        raise TargetTooLongError(f"max_len {max_len} exceeds {limit}")
+    return max_len
+
+
 def _greedy(step, vocab_size: int, max_len: int, force_ids):
     """Greedy generation from sos (ties to the lowest id) until eos or
     max_len; ``step(token, position) -> logits`` feeds one token, sos at
@@ -288,13 +311,7 @@ class ArDecoder:
 
     def teacher_logits(self, h: Tensor, target_ids) -> Tensor:
         """Logits for steps 1..T+1 along the gold path [sos, y_1..y_T]."""
-        target_ids = np.asarray(target_ids, dtype=np.int64)
-        if target_ids.size > self.max_len:
-            raise TargetTooLongError(
-                f"target length {target_ids.size} exceeds max_len {self.max_len}"
-            )
-        if target_ids.size and target_ids.max() >= self.vocab_size:
-            raise V.VocabularyError("target id outside the embedding table")
+        target_ids = _check_targets(target_ids, self.max_len, self.vocab_size)
         tokens = np.concatenate([[V.SOS], target_ids])
         x = T.concat([h, T.embedding(self.embed, tokens)], axis=0)
         for layer in self.layers:
@@ -326,9 +343,7 @@ class ArDecoder:
     def generate(self, h_np: np.ndarray, max_len: int | None = None,
                  force_ids=None) -> GenerationResult:
         """Greedy generation until eos or max_len (see ``_greedy``)."""
-        max_len = self.max_len if max_len is None else max_len
-        if max_len > self.max_len:
-            raise TargetTooLongError(f"max_len {max_len} exceeds {self.max_len}")
+        max_len = _generation_budget(max_len, self.max_len)
         states = self.start_stream(h_np)
         cache_bytes = sum(s.nbytes for s in states)
         out = _greedy(lambda tok, _pos: self._step(tok, states), self.vocab_size,
@@ -414,6 +429,57 @@ class KvCache:
                    for k, v in zip(self.keys, self.values))
 
 
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
+    """Causal softmax(q_h k_h^T / sqrt(dh)) v_h for each of n_heads column
+    groups of the (S, D) projections. Query rows go in blocks of
+    ``ATTN_BLOCK_ROWS``; block [a, b) scores keys [0, b) only and masks
+    the later keys of its diagonal sub-block. A recorded op keeps each
+    block's probabilities (about half of H * S^2) for the backward; off
+    the tape it keeps nothing."""
+    s, d = q.shape
+    if k.shape != (s, d) or v.shape != (s, d) or d % n_heads:
+        raise T.ShapeError(f"causal_attention: {q.shape}, {k.shape}, {v.shape}, {n_heads} heads")
+    dh = d // n_heads
+    scale = q.data.dtype.type(1.0 / np.sqrt(dh))
+
+    def heads(x):  # (S, D) -> (H, S, dh); a view when x is contiguous
+        return x.reshape(s, n_heads, dh).transpose(1, 0, 2)
+
+    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+    out = np.empty((s, d), dtype=q.data.dtype)
+    oh = heads(out)
+    later = np.triu(np.ones((ATTN_BLOCK_ROWS, ATTN_BLOCK_ROWS), dtype=bool), k=1)
+    keep = T.records((q, k, v))
+    probs = []
+    for a in range(0, s, ATTN_BLOCK_ROWS):
+        b = min(a + ATTN_BLOCK_ROWS, s)
+        p = qh[:, a:b] @ kh[:, :b].transpose(0, 2, 1)
+        p *= scale
+        np.copyto(p[:, :, a:], NEG_MASK, where=later[:b - a, :b - a])
+        T.softmax_np(p, out=p)
+        oh[:, a:b] = p @ vh[:, :b]
+        if keep:
+            probs.append(p)
+
+    def bwd(g):
+        gq, gk, gv = (np.zeros((s, d), dtype=g.dtype) for _ in range(3))
+        gh, gqh, gkh, gvh = heads(g), heads(gq), heads(gk), heads(gv)
+        for p in probs:
+            b = p.shape[2]
+            a = b - p.shape[1]
+            go = gh[:, a:b]
+            gvh[:, :b] += p.transpose(0, 2, 1) @ go
+            gs = go @ vh[:, :b].transpose(0, 2, 1)
+            gs -= (gs * p).sum(axis=-1, keepdims=True)
+            gs *= p
+            gs *= scale
+            gqh[:, a:b] = gs @ kh[:, :b]
+            gkh[:, :b] += gs.transpose(0, 2, 1) @ qh[:, a:b]
+        return gq, gk, gv
+
+    return T.custom_op("causal_attention", out, (q, k, v), bwd)
+
+
 class AttentionBaselineDecoder:
     """Pre-norm causal transformer over the concatenated [visual; token]
     stream. Cross-modal attention happens through input-level fusion, so
@@ -451,32 +517,21 @@ class AttentionBaselineDecoder:
 
     # -- batch path (tape) --
 
-    def _attn(self, xn: Tensor, layer, mask_t: Tensor):
-        """Causal multi-head self-attention under the additive (S, S) mask;
-        returns (out, k, v)."""
-        dh = self.d_model // self.n_heads
+    def _attn(self, xn: Tensor, layer):
+        """Causal multi-head self-attention; returns (out, k, v)."""
         q = T.linear(xn, layer["wq"], layer["bq"])
         k = T.linear(xn, layer["wk"], layer["bk"])
         v = T.linear(xn, layer["wv"], layer["bv"])
-        heads = []
-        for hd in range(self.n_heads):
-            qh = T.narrow(q, 1, hd * dh, dh)
-            kh = T.narrow(k, 1, hd * dh, dh)
-            vh = T.narrow(v, 1, hd * dh, dh)
-            scores = T.mul(T.matmul(qh, T.transpose2d(kh)), 1.0 / np.sqrt(dh))
-            attn = T.softmax_lastdim(T.add(scores, mask_t))
-            heads.append(T.matmul(attn, vh))
-        return T.linear(T.concat(heads, axis=1), layer["wo"], layer["bo"]), k, v
+        a = causal_attention(q, k, v, self.n_heads)
+        return T.linear(a, layer["wo"], layer["bo"]), k, v
 
     def _trunk(self, x: Tensor):
         """The pre-norm stack; returns (x, keys, values), one (S, D) key and
         value array per layer."""
-        s = x.shape[0]
-        mask_t = Tensor(np.triu(np.full((s, s), NEG_MASK, dtype=x.data.dtype), k=1))
         keys, values = [], []
         for layer in self.layers:
             xn = T.layernorm_lastdim(x, layer["ln1_g"], layer["ln1_b"])
-            a, k, v = self._attn(xn, layer, mask_t)
+            a, k, v = self._attn(xn, layer)
             keys.append(k.data)
             values.append(v.data)
             x = T.add(x, a)
@@ -487,7 +542,8 @@ class AttentionBaselineDecoder:
         return T.layernorm_lastdim(x, self.final_g, self.final_b), keys, values
 
     def teacher_logits(self, h: Tensor, target_ids) -> Tensor:
-        target_ids = np.asarray(target_ids, dtype=np.int64)
+        """Logits for steps 1..T+1 along the gold path [sos, y_1..y_T]."""
+        target_ids = _check_targets(target_ids, self.max_len, self.vocab_size)
         tokens = np.concatenate([[V.SOS], target_ids])
         e = T.embedding(self.embed, tokens)
         pe = positional_encoding_1d(tokens.size, self.d_model, e.data.dtype)
@@ -529,8 +585,8 @@ class AttentionBaselineDecoder:
             raise ContextOverflowError(f"context {n} at capacity {self.max_ctx}")
         dh = self.d_model // self.n_heads
         inv_scale = 1.0 / float(np.sqrt(dh))
-        pe = positional_encoding_1d(position + 1, self.d_model,
-                                    self.embed.data.dtype)[position]
+        pe = positional_encoding_1d(1, self.d_model, self.embed.data.dtype,
+                                    start=position)[0]
         x = self.embed.data[token] + pe
         for i, layer in enumerate(self.layers):
             xn = T.layernorm_np(x, layer["ln1_g"], layer["ln1_b"])
@@ -552,7 +608,7 @@ class AttentionBaselineDecoder:
     def generate(self, h_np: np.ndarray, max_len: int | None = None,
                  force_ids=None) -> GenerationResult:
         """Greedy generation until eos or max_len (see ``_greedy``)."""
-        max_len = self.max_len if max_len is None else max_len
+        max_len = _generation_budget(max_len, self.max_len)
         cache = self.start_stream(h_np)
         out = _greedy(lambda tok, pos: self.step(tok, pos, cache), self.vocab_size,
                       max_len, force_ids)

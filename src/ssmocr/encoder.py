@@ -118,12 +118,14 @@ class ConvEncoder:
         return self.buffers_
 
 
-def positional_encoding_1d(n: int, d: int, dtype=np.float32) -> np.ndarray:
-    """Fixed sinusoid for positions 0..n-1: channels interleave sin/cos
-    over geometric wavelengths 10000^(2i/d)."""
+def positional_encoding_1d(n: int, d: int, dtype=np.float32, start: int = 0) -> np.ndarray:
+    """Fixed sinusoid for positions start..start+n-1: channels interleave
+    sin/cos over geometric wavelengths 10000^(2i/d). Each row depends on
+    its position alone, so a slice of a long table equals the short table
+    at its offset, bit for bit."""
     i = np.arange(d // 2)
     inv_freq = 1.0 / (10000.0 ** (2.0 * i / d))
-    pos = np.arange(n)[:, None] * inv_freq[None, :]
+    pos = np.arange(start, start + n)[:, None] * inv_freq[None, :]
     out = np.zeros((n, d), dtype=dtype)
     out[:, 0::2] = np.sin(pos)
     out[:, 1::2] = np.cos(pos)

@@ -168,12 +168,18 @@ def _attached(t: Tensor) -> bool:
     return t.requires_grad or t.node is not None
 
 
+def records(inputs) -> bool:
+    """Whether an op over ``inputs`` lands on the tape, and so whether it
+    must keep what its backward reads."""
+    return _grad_enabled and any(_attached(t) for t in inputs)
+
+
 def custom_op(op: str, data: np.ndarray, inputs, backward) -> Tensor:
     """Record a single-output op. ``backward(grad_out)`` returns one
     gradient array (or None) per input, in order."""
     _check_finite(data, op)
     out = _wrap(data)
-    if _grad_enabled and any(_attached(t) for t in inputs):
+    if records(inputs):
         node = Node(op, tuple(inputs), (out,), backward)
         out.node = node
         _tape.nodes.append(node)
@@ -187,7 +193,7 @@ def custom_op_multi(op: str, datas, inputs, backward) -> tuple[Tensor, ...]:
     for data in datas:
         _check_finite(data, op)
         outs.append(_wrap(data))
-    if _grad_enabled and any(_attached(t) for t in inputs):
+    if records(inputs):
         node = Node(op, tuple(inputs), tuple(outs), backward)
         for o in outs:
             o.node = node
@@ -323,12 +329,6 @@ def permute(x: Tensor, axes) -> Tensor:
         "permute", np.ascontiguousarray(x.data.transpose(axes)), (x,),
         lambda g: (np.ascontiguousarray(g.transpose(inv)),),
     )
-
-
-def transpose2d(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise ShapeError(f"transpose2d expects 2-d, got {x.shape}")
-    return permute(x, (1, 0))
 
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -605,11 +605,14 @@ def exp(x: Tensor) -> Tensor:
     return custom_op("exp", out, (x,), lambda g: (g * out,))
 
 
-def softmax_np(x: np.ndarray) -> np.ndarray:
+def softmax_np(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Last-axis softmax of a raw array, shifted by the row maximum so
-    that exp cannot overflow; ``softmax_lastdim`` computes through it."""
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    that exp cannot overflow, into ``out`` (fresh when None; x itself for
+    an in-place softmax); ``softmax_lastdim`` computes through it."""
+    e = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def softmax_lastdim(x: Tensor) -> Tensor:

@@ -85,6 +85,7 @@ def _op_cases(rng):
 
     sc_a = Tensor(rng.uniform(0.1, 0.9, (4, 2, 3)), dtype="f64", requires_grad=True)
     sc_bx, sc_c, sc_d, sc_x = t((4, 2, 3)), t((4, 3)), t(2), t((4, 2))
+    at_q, at_k, at_v = t((5, 4)), t((5, 4)), t((5, 4))
     ctc_z = t((5, 4))
     ce_z = t((4, 5))
     return {
@@ -109,6 +110,8 @@ def _op_cases(rng):
         "discretize_zoh": ([zoh_a, zoh_d, zoh_b], zoh_loss),
         "selective_scan": ([sc_a, sc_bx, sc_c, sc_d, sc_x], lambda: T.sum_all(
             T.gelu(ssm.selective_scan(sc_a, sc_bx, sc_c, sc_d, sc_x)))),
+        "causal_attention": ([at_q, at_k, at_v], lambda: T.sum_all(
+            T.gelu(D.causal_attention(at_q, at_k, at_v, 2)))),
         "ctc_loss": ([ctc_z], lambda: D.ctc_loss(ctc_z, [1, 2])),
         "cross_entropy": ([ce_z], lambda: D.cross_entropy_rows(
             ce_z, [1, 0, 4, 2], np.array([True, True, False, True]))),
@@ -138,7 +141,7 @@ def test_c02_gradient_suite():
         check_grads(lambda: T.sum_all(T.gelu(conn.forward(xc))),
                     [xc] + list(conn.params().values()))
         connectors += 1
-    report(2, True, f"finite differences pass for 16 ops, {blocks} blocks, "
+    report(2, True, f"finite differences pass for 17 ops, {blocks} blocks, "
                     f"{connectors} connectors x {n_seeds} seeds "
                     f"({time.perf_counter() - t0:.1f}s)")
 
@@ -255,7 +258,7 @@ def test_c07_memory_scaling_and_step_latency():
          ("attn-ar-baseline", lambda t: B.attention_cache_bytes(cfg, prefill, t))])
     mamba_f = table.factors("mamba-ar")[1000]
     attn_f = table.factors("attn-ar-baseline")[1000]
-    _, fits = run_step_latency(cfg, prefill=prefill, n_steps=500)
+    _, fits = run_step_latency(cfg, prefill=prefill, n_steps=2000)
     mamba_fit = fits["mamba-ar"]
     attn_fit = fits["attn-ar-baseline"]
     ok = (mamba_f <= 1.05 and attn_f >= 2.0

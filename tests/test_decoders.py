@@ -1,6 +1,7 @@
 """Decoding heads: CTC oracle, AR consistency, NAR masking, attention cache."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from ssmocr import decoders as D
 from ssmocr import tensor as T
 from ssmocr import vocab as V
+from ssmocr.encoder import positional_encoding_1d
 from ssmocr.tensor import Tensor
 from gradcheck import check_grads
 
@@ -328,6 +330,28 @@ class TestArDecoder:
         with pytest.raises(V.VocabularyError):
             dec.teacher_logits(Tensor(np.zeros((3, 8)), dtype="f64"), [99])
 
+    @both_ar
+    def test_target_longer_than_max_len_refused(self, make):
+        dec = make(13, max_len=3)
+        with pytest.raises(D.TargetTooLongError):
+            dec.teacher_logits(Tensor(np.zeros((4, 8)), dtype="f64"), [4, 5, 6, 7, 4, 5])
+        assert dec.teacher_logits(Tensor(np.zeros((4, 8)), dtype="f64"),
+                                  [4, 5, 6]).shape == (4, 8)
+
+    @both_ar
+    @pytest.mark.parametrize("bad_id", [8, 99, -1])
+    def test_target_id_outside_the_table_refused(self, make, bad_id):
+        dec = make(14)
+        with pytest.raises(V.VocabularyError):
+            dec.teacher_logits(Tensor(np.zeros((3, 8)), dtype="f64"), [4, bad_id])
+
+    @both_ar
+    def test_generation_budget_above_max_len_refused(self, make):
+        dec = make(15, max_len=4)
+        with pytest.raises(D.TargetTooLongError):
+            dec.generate(np.zeros((3, 8)), max_len=5)
+        assert dec.generate(np.zeros((3, 8)), max_len=4).steps <= 4
+
 
 def make_nar(seed=0, d=8, vocab_size=8, t_max=6):
     return D.NarDecoder(d, vocab_size, t_max=t_max, n_layers=2, n_state=3,
@@ -445,39 +469,82 @@ class TestAttentionBaseline:
         with pytest.raises(D.ContextOverflowError):
             dec.step(5, 1, cache)
 
-    def test_one_causal_mask_per_trunk_bitwise(self, monkeypatch):
-        rng = np.random.default_rng(10)
-        h = rng.standard_normal((5, 8))
-        ids = [4, 5, 6]
+    @pytest.mark.parametrize("dtype,tol", [("f64", 1e-12), ("f32", 1e-5)])
+    @pytest.mark.parametrize("s", [1, D.ATTN_BLOCK_ROWS - 1, D.ATTN_BLOCK_ROWS,
+                                   D.ATTN_BLOCK_ROWS + 1, 2 * D.ATTN_BLOCK_ROWS + 3])
+    def test_causal_attention_matches_the_per_head_formula(self, s, dtype, tol):
+        n_heads, d = 2, 8
+        dh = d // n_heads
+        rng = np.random.default_rng(s)
+        arrays = [rng.standard_normal((s, d)) for _ in range(3)]
+        weight = Tensor(rng.standard_normal((s, d)), dtype=dtype)
 
-        def run(dec):
-            logits = dec.teacher_logits(Tensor(h, dtype="f64", requires_grad=True), ids)
-            T.backward(D.cross_entropy_rows(logits, [5, 6, 7, V.EOS]))
-            return logits.data, {k: p.grad for k, p in dec.params().items()}
+        def per_head(q, k, v):
+            mask = Tensor(np.triu(np.full((s, s), D.NEG_MASK), k=1), dtype=dtype)
+            heads = []
+            for hd in range(n_heads):
+                qh, kh, vh = (T.narrow(x, 1, hd * dh, dh) for x in (q, k, v))
+                scores = T.mul(T.matmul(qh, T.permute(kh, (1, 0))), 1.0 / np.sqrt(dh))
+                heads.append(T.matmul(T.softmax_lastdim(T.add(scores, mask)), vh))
+            return T.concat(heads, axis=1)
 
-        shared, per_layer = make_attn(10), make_attn(10)
-        masks = []
-        shared_attn = shared._attn
+        def run(attend):
+            qkv = [Tensor(x, dtype=dtype, requires_grad=True) for x in arrays]
+            out = attend(*qkv)
+            T.backward(T.sum_all(T.mul(out, weight)))
+            return [out.data] + [x.grad for x in qkv]
 
-        def record(xn, layer, mask_t):
-            masks.append(mask_t)
-            return shared_attn(xn, layer, mask_t)
+        got = run(lambda q, k, v: D.causal_attention(q, k, v, n_heads))
+        want = run(per_head)
+        for g, w, name in zip(got, want, ("out", "gq", "gk", "gv")):
+            assert g.dtype == w.dtype
+            assert np.abs(g - w).max() <= tol * np.abs(w).max(), name
 
-        per_layer_attn = per_layer._attn
+    def test_causal_attention_keeps_probabilities_only_on_the_tape(self):
+        s, n_heads, rows = 1024, 2, D.ATTN_BLOCK_ROWS
+        rng = np.random.default_rng(11)
+        qkv = [Tensor(rng.standard_normal((s, 8)), dtype="f64", requires_grad=True)
+               for _ in range(3)]
+        ends = [min(a + rows, s) for a in range(0, s, rows)]
+        prob_bytes = n_heads * sum((b - a) * b for a, b in zip(range(0, s, rows), ends)) * 8
 
-        def rebuild(xn, layer, mask_t):
-            s = xn.shape[0]
-            own = np.triu(np.full((s, s), D.NEG_MASK, dtype=xn.data.dtype), k=1)
-            return per_layer_attn(xn, layer, Tensor(own))
+        def peak_bytes():
+            tracemalloc.start()
+            try:
+                D.causal_attention(*qkv, n_heads)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                T.active_tape().reset()
 
-        monkeypatch.setattr(shared, "_attn", record)
-        monkeypatch.setattr(per_layer, "_attn", rebuild)
-        got, got_grads = run(shared)
-        ref, ref_grads = run(per_layer)
-        assert len(masks) == 2 and masks[0] is masks[1]
-        assert np.array_equal(got, ref)
-        for k, g in ref_grads.items():
-            assert g is not None and np.array_equal(got_grads[k], g), k
+        assert peak_bytes() >= prob_bytes
+        with T.no_grad():
+            assert peak_bytes() < prob_bytes / 2
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("d", [8, 64])
+    def test_step_positional_row_is_the_table_row(self, monkeypatch, d, dtype):
+        np_dtype = {"f32": np.float32, "f64": np.float64}[dtype]
+        table = positional_encoding_1d(4096, d, np_dtype)
+        for p in range(4096):
+            row = positional_encoding_1d(1, d, np_dtype, start=p)
+            assert row.shape == (1, d) and np.array_equal(row[0], table[p]), p
+        rows = []
+
+        def spy(*args, **kwargs):
+            rows.append(positional_encoding_1d(*args, **kwargs))
+            return rows[-1]
+
+        monkeypatch.setattr(D, "positional_encoding_1d", spy)
+        dec = make_attn(12, d=d, dtype=dtype)
+        h = np.random.default_rng(12).standard_normal((3, d)).astype(np_dtype)
+        cache = dec.start_stream(h)
+        positions = [0, 1, 2, 511, 4095]
+        for p in positions:
+            dec.step(4, p, cache)
+        assert len(rows) == len(positions)
+        for row, p in zip(rows, positions):
+            assert row.shape == (1, d) and np.array_equal(row[0], table[p]), p
 
     def test_trainable(self):
         dec = make_attn(4)

@@ -96,6 +96,20 @@ class TestConfig:
         with pytest.raises(CFG.ConfigError, match=key):
             CFG.config_from_mapping({key: value})
 
+    @pytest.mark.parametrize("key,value", [
+        ("augment.prob", "7"), ("augment.prob", "-0.1"), ("augment.prob", "nan"),
+        ("curriculum.synth_mix", "-2"), ("curriculum.synth_mix", "1.5"),
+        ("model.max_len", "0"), ("model.t_max", "0"), ("model.t_max", "-3"),
+    ])
+    def test_out_of_range_setting_rejected_by_key(self, key, value):
+        with pytest.raises(CFG.ConfigError, match=key):
+            CFG.config_from_mapping({key: value})
+
+    def test_range_ends_accepted(self):
+        cfg = CFG.config_from_mapping({"augment.prob": "1", "curriculum.synth_mix": "0",
+                                       "model.max_len": "1", "model.t_max": "1"})
+        assert (cfg.augment_prob, cfg.synth_mix, cfg.max_len, cfg.t_max) == (1.0, 0.0, 1, 1)
+
     def test_keymap_has_exactly_one_key_per_field(self):
         attrs = [attr for attr, _ in CFG.KEYMAP.values()]
         assert len(set(attrs)) == len(attrs)
