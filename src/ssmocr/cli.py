@@ -8,6 +8,7 @@ before numpy loads (default 1, benchmarks refuse anything else).
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from pathlib import Path
 
@@ -176,30 +177,20 @@ def run_step_latency(cfg, prefill: int, n_steps: int):
                                     max_len=n_steps + 8,
                                     rng=np.random.default_rng(2))
 
-    def mamba_pass(_):
-        states = mamba.start_stream(h)
+    def make_pass(dec):
+        def start(_):
+            stream = dec.start_stream(h)
+            positions = itertools.count()
+            return lambda: dec.step(4 % vocab_size, next(positions), stream)
 
-        def advance():
-            mamba._step(4 % vocab_size, states)
-
-        return advance
-
-    def attn_pass(_):
-        cache = attn.start_stream(h)
-        counter = [0]
-
-        def advance():
-            attn.step(4 % vocab_size, counter[0], cache)
-            counter[0] += 1
-
-        return advance
+        return start
 
     fits, records = {}, []
-    for tag, make_pass, cache_bytes in (
-            ("mamba-ar", mamba_pass, B.mamba_cache_bytes(cfg, n_steps)),
-            ("attn-ar-baseline", attn_pass,
+    for tag, dec, cache_bytes in (
+            ("mamba-ar", mamba, B.mamba_cache_bytes(cfg, n_steps)),
+            ("attn-ar-baseline", attn,
              B.attention_cache_bytes(cfg, prefill, n_steps))):
-        times = B.step_latencies(make_pass, n_steps)
+        times = B.step_latencies(make_pass(dec), n_steps)
         fits[tag] = B.fit_step_slope(times)
         med = float(np.median(times))
         records.append(B.BenchRecord(

@@ -6,8 +6,12 @@ attention decoder whose key-value cache grows with every generated
 token; the latter exists as the quadratic counterpart in the memory
 scaling benchmark.
 
-Both autoregressive decoders generate through one greedy loop
-(``_greedy``) over a per-token numpy step. The attention decoder's
+The three Mamba heads are one ``MambaStack`` (layers and read-out) each,
+run over the visual rows alone (CTC) or with token embeddings (AR) or
+learned queries (NAR) appended and read from the tail. Both
+autoregressive heads speak one stream protocol, ``start_stream`` and
+``step(token, position, stream)``, over which ``AutoregressiveHead``
+gives them one loss and one greedy ``generate``. The attention decoder's
 teacher forcing and prefill are one batch forward through the
 row-blocked ``causal_attention`` op; the prefill runs it off the tape,
 and copies the K/V rows once into preallocated buffers that each step
@@ -24,7 +28,7 @@ import numpy as np
 from . import tensor as T
 from . import vocab as V
 from .encoder import positional_encoding_1d
-from .ssm import FFN_MULT, MambaLayer, RecurrentState
+from .ssm import FFN_MULT, MambaLayer
 from .tensor import Tensor
 
 NEG_MASK = -1e30  # additive logit mask; finite so softmax stays NaN-free
@@ -192,172 +196,54 @@ def masked_ce_loss(logits: Tensor, target_ids) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# shared stack plumbing
-
-
-def _build_stack(n_layers, d_model, n_state, expand, rng, dtype):
-    return [MambaLayer(d_model, n_state, expand, rng=rng, dtype=dtype) for _ in range(n_layers)]
-
-
-def _stack_params(layers, prefix):
-    out = {}
-    for i, layer in enumerate(layers):
-        out.update({f"{prefix}{i}.{k}": v for k, v in layer.params().items()})
-    return out
+# the Mamba heads
 
 
 def _head_init(rng, d, n_out, dtype):
     return T.uniform_param(rng, (d, n_out), d, dtype), T.const_param(n_out, 0.0, dtype)
 
 
-@dataclass
-class GenerationResult:
-    ids: list[int]                      # emitted character ids (full table)
-    truncated: bool
-    step_logits: np.ndarray             # (steps, vocab), pre-mask
-    cache_bytes: int                    # decoder state bytes when done
-    steps: int = 0
+class MambaStack:
+    """The unidirectional Mamba layers and linear read-out that every
+    Mamba head runs; a head draws its own parameters before the stack's."""
 
-    def __post_init__(self):
-        self.steps = len(self.step_logits)
+    def __init__(self, d_model, n_out, n_layers, n_state, expand, *, rng, dtype):
+        self.layers = [MambaLayer(d_model, n_state, expand, rng=rng, dtype=dtype)
+                       for _ in range(n_layers)]
+        self.w_out, self.b_out = _head_init(rng, d_model, n_out, dtype)
 
+    def read(self, h: Tensor, tail: Tensor | None = None) -> Tensor:
+        """Run the layers over h, or over [h; tail] when tail is given, and
+        read out every row, or only the tail rows."""
+        x = h if tail is None else T.concat([h, tail], axis=0)
+        for layer in self.layers:
+            x = layer.forward(x)
+        if tail is not None:
+            x = T.narrow(x, 0, h.shape[0], tail.shape[0])
+        return T.linear(x, self.w_out, self.b_out)
 
-def _check_targets(target_ids, max_len: int, vocab_size: int) -> np.ndarray:
-    """The gold ids of an autoregressive head as an int64 array, refused
-    when longer than max_len or outside the embedding table."""
-    target_ids = np.asarray(target_ids, dtype=np.int64)
-    if target_ids.size > max_len:
-        raise TargetTooLongError(f"target length {target_ids.size} exceeds max_len {max_len}")
-    if target_ids.size and (target_ids.min() < 0 or target_ids.max() >= vocab_size):
-        raise V.VocabularyError("target id outside the embedding table")
-    return target_ids
-
-
-def _generation_budget(max_len: int | None, limit: int) -> int:
-    """max_len, or limit when None; refused above limit."""
-    max_len = limit if max_len is None else max_len
-    if max_len > limit:
-        raise TargetTooLongError(f"max_len {max_len} exceeds {limit}")
-    return max_len
+    def params(self):
+        out = {f"layer{i}.{k}": v for i, layer in enumerate(self.layers)
+               for k, v in layer.params().items()}
+        out.update({"head.w": self.w_out, "head.b": self.b_out})
+        return out
 
 
-def _greedy(step, vocab_size: int, max_len: int, force_ids):
-    """Greedy generation from sos (ties to the lowest id) until eos or
-    max_len; ``step(token, position) -> logits`` feeds one token, sos at
-    position 0. Returns (ids, truncated, step_logits).
-
-    force_ids, when given, feeds the gold tokens instead of the argmax
-    so incremental logits can be compared against teacher forcing.
-    pad/sos/blank never surface: their logits are masked at the argmax.
-    """
-    mask = np.zeros(vocab_size)
-    mask[[V.BLANK, V.PAD, V.SOS]] = NEG_MASK
-    logits = step(V.SOS, 0)
-    ids: list[int] = []
-    step_logits = [logits]
-    truncated = force_ids is None
-    n_steps = max_len if force_ids is None else min(len(force_ids), max_len)
-    for t in range(n_steps):
-        if force_ids is None:
-            tok = int(np.argmax(logits + mask))
-            if tok == V.EOS:
-                truncated = False
-                break
-        else:
-            tok = int(force_ids[t])
-        ids.append(tok)
-        if t + 1 == n_steps:
-            break
-        logits = step(tok, t + 1)
-        step_logits.append(logits)
-    return ids, truncated, np.asarray(step_logits)
-
-
-class CtcDecoder:
+class CtcDecoder(MambaStack):
     """Unidirectional stack projecting every visual frame onto V+blank."""
 
     def __init__(self, d_model, ctc_size, n_layers=4, n_state=16, expand=2,
                  *, rng, dtype="f32"):
-        self.layers = _build_stack(n_layers, d_model, n_state, expand, rng, dtype)
-        self.w_out, self.b_out = _head_init(rng, d_model, ctc_size, dtype)
+        super().__init__(d_model, ctc_size, n_layers, n_state, expand, rng=rng, dtype=dtype)
 
     def frame_logits(self, h: Tensor) -> Tensor:
-        x = h
-        for layer in self.layers:
-            x = layer.forward(x)
-        return T.linear(x, self.w_out, self.b_out)
+        return self.read(h)
 
     def loss(self, h: Tensor, ctc_targets) -> Tensor:
         return ctc_loss(self.frame_logits(h), ctc_targets)
 
-    def params(self):
-        out = _stack_params(self.layers, "layer")
-        out.update({"head.w": self.w_out, "head.b": self.b_out})
-        return out
 
-
-class ArDecoder:
-    """Autoregressive head: visual context and token embeddings are fused
-    by concatenation along the sequence, predictions are read from the
-    stream tail, and generation steps with one RecurrentState per layer."""
-
-    def __init__(self, d_model, vocab_size, n_layers=4, n_state=16, expand=2,
-                 max_len=512, *, rng, dtype="f32"):
-        self.vocab_size = vocab_size
-        self.max_len = max_len
-        self.embed = T.uniform_param(rng, (vocab_size, d_model), d_model, dtype)
-        self.layers = _build_stack(n_layers, d_model, n_state, expand, rng, dtype)
-        self.w_out, self.b_out = _head_init(rng, d_model, vocab_size, dtype)
-
-    def teacher_logits(self, h: Tensor, target_ids) -> Tensor:
-        """Logits for steps 1..T+1 along the gold path [sos, y_1..y_T]."""
-        target_ids = _check_targets(target_ids, self.max_len, self.vocab_size)
-        tokens = np.concatenate([[V.SOS], target_ids])
-        x = T.concat([h, T.embedding(self.embed, tokens)], axis=0)
-        for layer in self.layers:
-            x = layer.forward(x)
-        tail = T.narrow(x, 0, h.shape[0], tokens.size)
-        return T.linear(tail, self.w_out, self.b_out)
-
-    def loss(self, h: Tensor, target_ids) -> Tensor:
-        target_ids = np.asarray(target_ids, dtype=np.int64)
-        logits = self.teacher_logits(h, target_ids)
-        return cross_entropy_rows(logits, np.concatenate([target_ids, [V.EOS]]))
-
-    def start_stream(self, h_np: np.ndarray) -> list[RecurrentState]:
-        """Prefill the visual positions once; per-stream memory afterwards
-        is the sum of the layer states, independent of generated length."""
-        states = []
-        x = h_np
-        for layer in self.layers:
-            x, state = layer.forward_np(x)
-            states.append(state)
-        return states
-
-    def _step(self, token: int, states) -> np.ndarray:
-        row = self.embed.data[token]
-        for layer, state in zip(self.layers, states):
-            row = layer.step(row, state)
-        return row @ self.w_out.data + self.b_out.data
-
-    def generate(self, h_np: np.ndarray, max_len: int | None = None,
-                 force_ids=None) -> GenerationResult:
-        """Greedy generation until eos or max_len (see ``_greedy``)."""
-        max_len = _generation_budget(max_len, self.max_len)
-        states = self.start_stream(h_np)
-        cache_bytes = sum(s.nbytes for s in states)
-        out = _greedy(lambda tok, _pos: self._step(tok, states), self.vocab_size,
-                      max_len, force_ids)
-        return GenerationResult(*out, cache_bytes)
-
-    def params(self):
-        out = {"embed": self.embed}
-        out.update(_stack_params(self.layers, "layer"))
-        out.update({"head.w": self.w_out, "head.b": self.b_out})
-        return out
-
-
-class NarDecoder:
+class NarDecoder(MambaStack):
     """Fixed learned queries appended after the visual stream; one pass
     predicts every slot, read from the last T_max positions."""
 
@@ -366,24 +252,16 @@ class NarDecoder:
         self.t_max = t_max
         self.queries = Tensor(rng.standard_normal((t_max, d_model)) * 0.02,
                               dtype=dtype, requires_grad=True)
-        self.layers = _build_stack(n_layers, d_model, n_state, expand, rng, dtype)
-        self.w_out, self.b_out = _head_init(rng, d_model, vocab_size, dtype)
+        super().__init__(d_model, vocab_size, n_layers, n_state, expand, rng=rng, dtype=dtype)
 
     def logits(self, h: Tensor) -> Tensor:
-        x = T.concat([h, self.queries], axis=0)
-        for layer in self.layers:
-            x = layer.forward(x)
-        tail = T.narrow(x, 0, h.shape[0], self.t_max)
-        return T.linear(tail, self.w_out, self.b_out)
+        return self.read(h, self.queries)
 
     def loss(self, h: Tensor, target_ids) -> Tensor:
         return masked_ce_loss(self.logits(h), target_ids)
 
     def params(self):
-        out = {"queries": self.queries}
-        out.update(_stack_params(self.layers, "layer"))
-        out.update({"head.w": self.w_out, "head.b": self.b_out})
-        return out
+        return {"queries": self.queries, **super().params()}
 
 
 @dataclass
@@ -405,6 +283,128 @@ def nar_decode(logits) -> NarDecodeResult:
         if s != V.PAD:
             ids.append(s)
     return NarDecodeResult(ids, truncated=True)
+
+
+# ---------------------------------------------------------------------------
+# the autoregressive protocol
+
+
+@dataclass
+class GenerationResult:
+    ids: list[int]                      # emitted character ids (full table)
+    truncated: bool
+    step_logits: np.ndarray             # (steps, vocab), pre-mask
+    cache_bytes: int                    # decoder state bytes when done
+    steps: int = 0
+
+    def __post_init__(self):
+        self.steps = len(self.step_logits)
+
+
+def _check_targets(target_ids, max_len: int, vocab_size: int) -> np.ndarray:
+    """The gold path [sos, y_1..y_T] of an autoregressive head as int64,
+    refused when T exceeds max_len or an id lies outside the table."""
+    target_ids = np.asarray(target_ids, dtype=np.int64)
+    if target_ids.size > max_len:
+        raise TargetTooLongError(f"target length {target_ids.size} exceeds max_len {max_len}")
+    if target_ids.size and (target_ids.min() < 0 or target_ids.max() >= vocab_size):
+        raise V.VocabularyError("target id outside the embedding table")
+    return np.concatenate([[V.SOS], target_ids])
+
+
+class AutoregressiveHead:
+    """The loss and greedy generation of an autoregressive head, over its
+    ``teacher_logits(h, target_ids)``, ``start_stream(h_np) -> stream``
+    (``stream.nbytes`` is the cache size) and ``step(token, position,
+    stream) -> logits``, which feeds one token, sos at position 0.
+    Subclasses set ``vocab_size`` and ``max_len``."""
+
+    def loss(self, h: Tensor, target_ids) -> Tensor:
+        target_ids = np.asarray(target_ids, dtype=np.int64)
+        logits = self.teacher_logits(h, target_ids)
+        return cross_entropy_rows(logits, np.concatenate([target_ids, [V.EOS]]))
+
+    def generate(self, h_np: np.ndarray, max_len: int | None = None,
+                 force_ids=None) -> GenerationResult:
+        """Greedy generation from sos (ties to the lowest id) until eos or
+        max_len, which defaults to and may not exceed the head's.
+
+        force_ids, when given, feeds the gold tokens instead of the argmax
+        so incremental logits can be compared against teacher forcing.
+        pad/sos/blank never surface: their logits are masked at the argmax.
+        """
+        max_len = self.max_len if max_len is None else max_len
+        if max_len < 1:
+            raise ValueError(f"generation max_len must be at least 1, got {max_len}")
+        if max_len > self.max_len:
+            raise TargetTooLongError(f"max_len {max_len} exceeds {self.max_len}")
+        stream = self.start_stream(h_np)
+        mask = np.zeros(self.vocab_size)
+        mask[[V.BLANK, V.PAD, V.SOS]] = NEG_MASK
+        logits = self.step(V.SOS, 0, stream)
+        ids: list[int] = []
+        step_logits = [logits]
+        truncated = force_ids is None
+        n_steps = max_len if force_ids is None else min(len(force_ids), max_len)
+        for t in range(n_steps):
+            if force_ids is None:
+                tok = int(np.argmax(logits + mask))
+                if tok == V.EOS:
+                    truncated = False
+                    break
+            else:
+                tok = int(force_ids[t])
+            ids.append(tok)
+            if t + 1 == n_steps:
+                break
+            logits = self.step(tok, t + 1, stream)
+            step_logits.append(logits)
+        return GenerationResult(ids, truncated, np.asarray(step_logits), stream.nbytes)
+
+
+class RecurrentStream(list):
+    """The Mamba decoder's stream: one RecurrentState per layer."""
+
+    @property
+    def nbytes(self) -> int:
+        return sum(s.nbytes for s in self)
+
+
+class ArDecoder(MambaStack, AutoregressiveHead):
+    """Autoregressive head: visual context and token embeddings are fused
+    by concatenation along the sequence, predictions are read from the
+    stream tail, and generation steps with one RecurrentState per layer."""
+
+    def __init__(self, d_model, vocab_size, n_layers=4, n_state=16, expand=2,
+                 max_len=512, *, rng, dtype="f32"):
+        self.vocab_size = vocab_size
+        self.max_len = max_len
+        self.embed = T.uniform_param(rng, (vocab_size, d_model), d_model, dtype)
+        super().__init__(d_model, vocab_size, n_layers, n_state, expand, rng=rng, dtype=dtype)
+
+    def teacher_logits(self, h: Tensor, target_ids) -> Tensor:
+        """Logits for steps 1..T+1 along the gold path [sos, y_1..y_T]."""
+        tokens = _check_targets(target_ids, self.max_len, self.vocab_size)
+        return self.read(h, T.embedding(self.embed, tokens))
+
+    def start_stream(self, h_np: np.ndarray) -> RecurrentStream:
+        """Prefill the visual positions once; per-stream memory afterwards
+        is the sum of the layer states, independent of generated length."""
+        states = RecurrentStream()
+        x = h_np
+        for layer in self.layers:
+            x, state = layer.forward_np(x)
+            states.append(state)
+        return states
+
+    def step(self, token: int, position: int, states) -> np.ndarray:
+        row = self.embed.data[token]
+        for layer, state in zip(self.layers, states):
+            row = layer.step(row, state)
+        return row @ self.w_out.data + self.b_out.data
+
+    def params(self):
+        return {"embed": self.embed, **super().params()}
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +480,7 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     return T.custom_op("causal_attention", out, (q, k, v), bwd)
 
 
-class AttentionBaselineDecoder:
+class AttentionBaselineDecoder(AutoregressiveHead):
     """Pre-norm causal transformer over the concatenated [visual; token]
     stream. Cross-modal attention happens through input-level fusion, so
     each layer keeps exactly one K/V pair per stream position:
@@ -543,19 +543,13 @@ class AttentionBaselineDecoder:
 
     def teacher_logits(self, h: Tensor, target_ids) -> Tensor:
         """Logits for steps 1..T+1 along the gold path [sos, y_1..y_T]."""
-        target_ids = _check_targets(target_ids, self.max_len, self.vocab_size)
-        tokens = np.concatenate([[V.SOS], target_ids])
+        tokens = _check_targets(target_ids, self.max_len, self.vocab_size)
         e = T.embedding(self.embed, tokens)
         pe = positional_encoding_1d(tokens.size, self.d_model, e.data.dtype)
         x = T.concat([h, T.add(e, Tensor(pe))], axis=0)
         x, _, _ = self._trunk(x)
         tail = T.narrow(x, 0, h.shape[0], tokens.size)
         return T.linear(tail, self.w_out, self.b_out)
-
-    def loss(self, h: Tensor, target_ids) -> Tensor:
-        target_ids = np.asarray(target_ids, dtype=np.int64)
-        logits = self.teacher_logits(h, target_ids)
-        return cross_entropy_rows(logits, np.concatenate([target_ids, [V.EOS]]))
 
     # -- incremental path: batch prefill, numpy steps --
 
@@ -604,15 +598,6 @@ class AttentionBaselineDecoder:
         cache.length = n + 1
         x = T.layernorm_np(x, self.final_g, self.final_b)
         return x @ self.w_out.data + self.b_out.data
-
-    def generate(self, h_np: np.ndarray, max_len: int | None = None,
-                 force_ids=None) -> GenerationResult:
-        """Greedy generation until eos or max_len (see ``_greedy``)."""
-        max_len = _generation_budget(max_len, self.max_len)
-        cache = self.start_stream(h_np)
-        out = _greedy(lambda tok, pos: self.step(tok, pos, cache), self.vocab_size,
-                      max_len, force_ids)
-        return GenerationResult(*out, cache.nbytes)
 
     def params(self):
         out = {"embed": self.embed, "final.g": self.final_g, "final.b": self.final_b,

@@ -12,6 +12,7 @@ import numpy as np
 from . import checkpoint as C
 from . import tensor as T
 from .config import RunConfig, config_to_mapping
+from .decoders import TargetTooLongError
 from .metrics import EvalReport
 from .model import OcrModel, build_model
 from .pgm import read_pgm
@@ -166,6 +167,15 @@ def train_run(cfg: RunConfig, log=None) -> TrainResult:
     if synth_samples:
         texts += [s.transcript for s in synth_samples]
     vocabulary = Vocabulary.from_texts(texts)
+    if cfg.model_kind != "mamba-ctc":
+        key, budget = (("model.t_max", cfg.t_max - 1) if cfg.model_kind == "mamba-nar"
+                       else ("model.max_len", cfg.max_len))
+        for split, samples in (("train", train_samples), ("synth", synth_samples or [])):
+            for i, s in enumerate(samples):
+                if len(s.transcript) > budget:
+                    raise TargetTooLongError(
+                        f"{split}:{i} transcript has {len(s.transcript)} characters; "
+                        f"{key} allows {budget}")
     model = build_model(cfg, vocabulary)
     params = model.params()
     opt = AdamW(params, lr=cfg.lr, betas=(cfg.beta1, cfg.beta2),
@@ -264,9 +274,11 @@ def train_run(cfg: RunConfig, log=None) -> TrainResult:
                     loss = model.loss(img, sample.transcript)
                     T.backward(T.mul(loss, 1.0 / len(batch)))
                     total += loss.item()
-        except T.NonFiniteError as e:
+        except BaseException as e:
             T.active_tape().reset()  # the failed forward's nodes
-            raise TrainAbort(step, cfg.lr, ids_for_diag, str(e)) from e
+            if isinstance(e, T.NonFiniteError):
+                raise TrainAbort(step, cfg.lr, ids_for_diag, str(e)) from e
+            raise
         last_loss = total / len(batch)
         if not np.isfinite(last_loss):
             raise TrainAbort(step, cfg.lr, ids_for_diag, f"loss={last_loss}")

@@ -352,6 +352,13 @@ class TestArDecoder:
             dec.generate(np.zeros((3, 8)), max_len=5)
         assert dec.generate(np.zeros((3, 8)), max_len=4).steps <= 4
 
+    @both_ar
+    @pytest.mark.parametrize("max_len", [0, -3])
+    def test_generation_budget_below_one_refused(self, make, max_len):
+        dec = make(16)
+        with pytest.raises(ValueError, match="max_len"):
+            dec.generate(np.zeros((3, 8)), max_len=max_len)
+
 
 def make_nar(seed=0, d=8, vocab_size=8, t_max=6):
     return D.NarDecoder(d, vocab_size, t_max=t_max, n_layers=2, n_state=3,

@@ -1,6 +1,7 @@
 """Config parsing, checkpoint format, and training-loop behaviour."""
 
 import dataclasses
+import hashlib
 import io
 import re
 
@@ -346,6 +347,27 @@ def with_retired_conv_bias(ck, seed=0):
     return dataclasses.replace(ck, tensors=tensors)
 
 
+# (count, sha256 prefix) of the "name:shape" lines of model.params(), in
+# order, per kind at the config below: checkpoint keys, their order and
+# their shapes must not move when a head is refactored
+PARAM_KEY_DIGESTS = {
+    "mamba-ctc": (73, "c5b675574ec1edcc"),
+    "mamba-ar": (74, "2f58f578fbc5d898"),
+    "mamba-nar": (74, "a560ba0b72a63f3d"),
+    "attn-ar-baseline": (76, "6cec2a5a60eb8192"),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_checkpoint_keys_names_order_and_shapes_pinned(kind):
+    cfg = CFG.RunConfig(model_kind=kind, d_model=16, n_state=4, expand=2, layers=2,
+                        t_max=6, max_len=6, enc_channels=(4, 4, 8, 8), seed=7)
+    params = build_model(cfg, Vocabulary(list("abc"))).params()
+    lines = "".join(f"{n}:{tuple(p.shape)}\n" for n, p in params.items())
+    digest = hashlib.sha256(lines.encode()).hexdigest()[:16]
+    assert (len(params), digest) == PARAM_KEY_DIGESTS[kind]
+
+
 class TestRetiredConvBias:
     @pytest.fixture(scope="class")
     def trained(self, tiny_dataset, tmp_path_factory):
@@ -450,6 +472,36 @@ class TestTraining:
         assert err.value.lr == 1e18
         assert err.value.batch_ids
         assert len(T.active_tape()) == 0  # the failed forward left no nodes
+
+    def test_failed_loss_leaves_no_nodes_on_the_tape(self, tmp_path):
+        from ssmocr.decoders import InfeasibleAlignmentError
+        from ssmocr.pgm import write_pgm
+        from ssmocr.synth import Sample, save_manifest
+
+        # a blank 16 px wide line has too few frames for 26 characters
+        write_pgm(tmp_path / "narrow.pgm", np.full((32, 16), 255, dtype=np.uint8))
+        save_manifest(tmp_path / "train.tsv",
+                      [Sample("narrow.pgm", "abcdefghijklmnopqrstuvwxyz")])
+        T.active_tape().reset()
+        with pytest.raises(InfeasibleAlignmentError):
+            TR.train_run(tiny_cfg(tmp_path, str(tmp_path / "train.tsv"), batch_size=1))
+        assert len(T.active_tape()) == 0
+
+    @pytest.mark.parametrize("kind,key,size", [
+        ("mamba-ar", "model.max_len", {"max_len": 3}),
+        ("attn-ar-baseline", "model.max_len", {"max_len": 3}),
+        ("mamba-nar", "model.t_max", {"t_max": 4}),
+    ])
+    def test_over_long_transcript_refused_before_the_first_step(
+            self, kind, key, size, tiny_dataset, tmp_path, monkeypatch):
+        from ssmocr.decoders import TargetTooLongError
+
+        steps = []
+        monkeypatch.setattr(TR.AdamW, "step", lambda opt: steps.append(opt.t))
+        cfg = tiny_cfg(tmp_path, tiny_dataset, model_kind=kind, **size)
+        with pytest.raises(TargetTooLongError, match=rf"train:\d+ .*{key} allows 3"):
+            TR.train_run(cfg)
+        assert steps == []
 
     def test_augment_seed_keys_the_augmentation(self, tiny_dataset, tmp_path,
                                                 monkeypatch):
