@@ -15,8 +15,11 @@ gives them one loss and one greedy ``generate``. The attention decoder's
 teacher forcing and prefill are one batch forward through the
 row-blocked ``causal_attention`` op; the prefill runs it off the tape,
 and copies the K/V rows once into preallocated buffers that each step
-writes one row of. The Mamba decoder's prefill is the recurrence in
-``MambaLayer.forward_np``, which yields the final state.
+writes one row of. Every Mamba stack that records nothing (CTC and NAR
+decoding, teacher forcing under ``no_grad``) and the Mamba decoder's
+prefill run the row-blocked recurrence of ``MambaLayer.forward_np``; the
+prefill keeps its final state. ``generate`` refuses non-finite step
+logits with NonFiniteError instead of decoding them.
 """
 
 from __future__ import annotations
@@ -347,6 +350,7 @@ class AutoregressiveHead:
         truncated = force_ids is None
         n_steps = max_len if force_ids is None else min(len(force_ids), max_len)
         for t in range(n_steps):
+            T.check_finite(logits, "generate")
             if force_ids is None:
                 tok = int(np.argmax(logits + mask))
                 if tok == V.EOS:

@@ -4,11 +4,14 @@ A diagonal linear recurrence h_t = a_t * h_(t-1) + b_t with
 input-dependent coefficients. The sequential recurrence, O(L) work, is
 the production path on a CPU (tape forward, adjoint and prefill); the
 log-depth doubling scan, O(L log L) work, is kept only as its cross-check.
-Discretisation, and in the prefill also the scan and the readout, walk
-the sequence in row blocks whose (rows, I, N) temporaries fit in cache.
+Discretisation walks the sequence in row blocks whose (rows, I, N)
+temporaries fit in cache. Off the tape (the generation prefill, and every
+MambaLayer forward that records nothing) the scan and the readout walk
+the same row blocks, so no (L, I, N) array is built.
 The MambaBlock wraps the scan in the canonical gated block (in-projection,
 depthwise causal conv, SiLU, skip gain), and the BiMambaConnector runs one
-shared block over both temporal directions with additive fusion.
+shared block over both temporal directions with additive fusion; the
+connector's block stays on the tape chain, recorded or not.
 """
 
 from __future__ import annotations
@@ -399,11 +402,13 @@ class MambaBlock:
 
     def forward_np(self, x: np.ndarray):
         """Full-sequence forward on raw arrays, also returning the final
-        RecurrentState (used to prefill generation streams).
+        RecurrentState (used to prefill generation streams). Bitwise equal
+        to the tape ``forward``, which ``MambaLayer.forward`` relies on.
 
         ZOH, b_bar * u, the scan (seeded with the state carried from the
         previous block) and the readout run one row block at a time, so no
-        (L, I, N) array is ever built.
+        (L, I, N) array is ever built. A non-finite output raises
+        NonFiniteError.
         """
         i, n = self.d_inner, self.n_state
         xz = x @ self.w_in.data + self.b_in.data
@@ -426,6 +431,7 @@ class MambaBlock:
             y[blk] = (hb @ c[blk, :, None])[:, :, 0]
         y += self.ssm.d_skip.data * u
         out = (y * _silu_np(gate)) @ self.w_out.data + self.b_out.data
+        T.check_finite(out, "mamba_block")
         tail = min(CONV_WIDTH - 1, length)
         if tail:
             state.conv_buf[-tail:] = main[-tail:]
@@ -492,6 +498,8 @@ class MambaLayer:
         self.block = MambaBlock(d_model, n_state, expand, rng=rng, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
+        if not T.records([x, *self.params().values()]):  # nothing for a backward
+            return T.custom_op("mamba_layer", self.forward_np(x.data)[0], (), None)
         xn = T.layernorm_lastdim(x, self.norm_g, self.norm_b)
         return T.add(x, self.block.forward(xn))
 

@@ -52,7 +52,7 @@ def _as_dtype(dtype) -> np.dtype:
     return d
 
 
-def _check_finite(arr: np.ndarray, op: str) -> None:
+def check_finite(arr: np.ndarray, op: str) -> None:
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError(f"{op}: output contains NaN or Inf")
 
@@ -67,7 +67,7 @@ class Tensor:
         else:
             dt = _as_dtype(dtype)
         arr = np.ascontiguousarray(arr, dtype=dt)
-        _check_finite(arr, "tensor")
+        check_finite(arr, "tensor")
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
@@ -177,7 +177,7 @@ def records(inputs) -> bool:
 def custom_op(op: str, data: np.ndarray, inputs, backward) -> Tensor:
     """Record a single-output op. ``backward(grad_out)`` returns one
     gradient array (or None) per input, in order."""
-    _check_finite(data, op)
+    check_finite(data, op)
     out = _wrap(data)
     if records(inputs):
         node = Node(op, tuple(inputs), (out,), backward)
@@ -191,7 +191,7 @@ def custom_op_multi(op: str, datas, inputs, backward) -> tuple[Tensor, ...]:
     gradient array per output (zeros where unused)."""
     outs = []
     for data in datas:
-        _check_finite(data, op)
+        check_finite(data, op)
         outs.append(_wrap(data))
     if records(inputs):
         node = Node(op, tuple(inputs), tuple(outs), backward)

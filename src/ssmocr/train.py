@@ -28,7 +28,7 @@ class TrainAbort(RuntimeError):
         self.lr = lr
         self.batch_ids = list(batch_ids)
         super().__init__(
-            f"non-finite loss at step {step} (lr {lr:g}, batch {self.batch_ids}): {cause}"
+            f"numerical failure at step {step} (lr {lr:g}, batch {self.batch_ids}): {cause}"
         )
 
 
@@ -76,7 +76,8 @@ def clip_global_norm(params, max_norm: float) -> float:
         if p.grad is not None:
             total += float((p.grad.astype(np.float64) ** 2).sum())
     norm = float(np.sqrt(total))
-    if max_norm > 0 and norm > max_norm:
+    # a non-finite norm stays unscaled: the caller refuses the step
+    if max_norm > 0 and max_norm < norm < np.inf:
         scale = max_norm / (norm + 1e-12)
         for p in params.values():
             if p.grad is not None:
@@ -283,7 +284,9 @@ def train_run(cfg: RunConfig, log=None) -> TrainResult:
         if not np.isfinite(last_loss):
             raise TrainAbort(step, cfg.lr, ids_for_diag, f"loss={last_loss}")
         loss_history.append(last_loss)
-        clip_global_norm(params, cfg.clip_norm)
+        grad_norm = clip_global_norm(params, cfg.clip_norm)
+        if not np.isfinite(grad_norm):  # AdamW would write it into the weights
+            raise TrainAbort(step, cfg.lr, ids_for_diag, f"gradient norm {grad_norm}")
         opt.step()
 
         if cfg.eval_every > 0 and step % cfg.eval_every == 0:

@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 from ssmocr import decoders as D
+from ssmocr import ssm
 from ssmocr import tensor as T
 from ssmocr import vocab as V
+from ssmocr.config import RunConfig
 from ssmocr.encoder import positional_encoding_1d
+from ssmocr.model import build_model
 from ssmocr.tensor import Tensor
 from gradcheck import check_grads
 
@@ -402,6 +405,65 @@ class TestNarDecoder:
         assert res.ids == [a, b] and not res.truncated
         res = D.nar_decode(logits_for([a, pad, b, c]))
         assert res.ids == [a, b, c] and res.truncated  # no eos in budget
+
+
+def make_model(kind):
+    cfg = RunConfig(model_kind=kind, d_model=16, n_state=4, expand=2, layers=2,
+                    enc_channels=(4, 4, 8, 8), seed=1)
+    return build_model(cfg, V.Vocabulary(list("abc"))).eval()
+
+
+LINE = (np.random.default_rng(5).random((32, 48)) * 255).astype(np.uint8)
+
+
+class TestMambaStackOffTheTape:
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_unrecorded_logits_equal_the_tape_bitwise(self, dtype):
+        rng = np.random.default_rng(3)
+        common = dict(n_layers=2, n_state=16, expand=2, rng=rng, dtype=dtype)
+        # I*N = 32*16 makes 128-row ZOH blocks: 300 visual rows span three
+        h = Tensor(rng.standard_normal((300, 16)), dtype=dtype)
+        ids = np.array([4, 6, 5, 7, 4])
+        runs = [(D.CtcDecoder(16, 8, **common).frame_logits, (h,)),
+                (D.NarDecoder(16, 8, t_max=40, **common).logits, (h,)),
+                (D.ArDecoder(16, 8, **common).teacher_logits, (h, ids))]
+        for run, args in runs:
+            taped = run(*args).data
+            with T.no_grad():
+                fast = run(*args).data
+            assert fast.dtype == taped.dtype and np.array_equal(fast, taped)
+        T.active_tape().reset()
+
+    @pytest.mark.parametrize("kind", ["mamba-ctc", "mamba-nar", "mamba-ar"])
+    def test_only_recorded_stacks_reach_the_tape_chain(self, monkeypatch, kind):
+        chain = [(ssm, "discretize_zoh"), (ssm, "selective_scan"), (T, "mul_rowbcast")]
+        calls = dict.fromkeys((name for _, name in chain), 0)
+        for module, name in chain:
+            def counted(*args, _op=getattr(module, name), _name=name, **kw):
+                calls[_name] += 1
+                return _op(*args, **kw)
+            monkeypatch.setattr(module, name, counted)
+        model = make_model(kind)
+        T.active_tape().reset()
+        model.transcribe(LINE, max_len=3)
+        # the connector's forward and flipped passes alone
+        assert calls == dict.fromkeys(calls, 2)
+        assert len(T.active_tape()) == 0
+        calls.update(dict.fromkeys(calls, 0))
+        model.loss(LINE, "ab")
+        assert calls == dict.fromkeys(calls, 2 + model.cfg.layers)
+        T.active_tape().reset()
+
+    @pytest.mark.parametrize("kind,poison", [
+        ("mamba-ar", lambda dec: dec.embed.data[V.SOS]),
+        ("attn-ar-baseline", lambda dec: dec.embed.data[V.SOS]),
+        ("mamba-ar", lambda dec: dec.layers[0].block.w_out.data),
+    ], ids=["mamba-ar-sos", "attn-sos", "mamba-ar-w_out"])
+    def test_non_finite_generation_raises(self, kind, poison):
+        model = make_model(kind)
+        poison(model.decoder)[...] = np.nan
+        with pytest.raises(T.NonFiniteError):
+            model.transcribe(LINE, max_len=3)
 
 
 class TestAttentionBaseline:

@@ -385,6 +385,11 @@ class TestCausalConv1d:
         check_grads(lambda: T.sum_all(T.silu(ssm.causal_conv1d(x, w, b))), [x, w, b])
 
 
+# L = blocks * rows + extra_rows around the row blocks of the off-tape forward
+across_row_blocks = pytest.mark.parametrize(
+    "blocks,extra_rows", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (3, 7)])
+
+
 def make_block(seed=0, d=4, n=3, expand=2, dtype="f64"):
     return ssm.MambaBlock(d, n_state=n, expand=expand,
                           rng=np.random.default_rng(seed), dtype=dtype)
@@ -440,7 +445,7 @@ class TestMambaBlock:
         full = block.forward(Tensor(np.vstack([x, extra]), dtype="f64")).data
         assert np.abs(full[17:] - cont).max() <= 1e-8
 
-    @pytest.mark.parametrize("blocks,extra_rows", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (3, 7)])
+    @across_row_blocks
     def test_forward_np_across_row_blocks(self, blocks, extra_rows):
         # desk widths (I*N = 128*16): the prefill runs in row blocks of `rows`
         block = make_block(5, d=64, n=16)
@@ -539,3 +544,42 @@ class TestMambaLayer:
         assert np.abs(full - stepped).max() <= 1e-8
         y_np, _ = layer.forward_np(x)
         assert np.abs(full - y_np).max() <= 1e-12
+
+    @across_row_blocks
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_unrecorded_forward_is_the_tape_forward_bitwise(self, monkeypatch, blocks,
+                                                            extra_rows, dtype):
+        # desk widths (I*N = 128*16); nothing records under no_grad, so the
+        # layer runs forward_np, and finite differences (c02) rely on equality
+        layer = ssm.MambaLayer(64, n_state=16, rng=np.random.default_rng(5), dtype=dtype)
+        blk = layer.block
+        rows = ssm._block_rows(blk.d_inner * blk.n_state)
+        L = blocks * rows + extra_rows
+        # a zero window of inputs gives u = 0 and delta = softplus(-30), so every
+        # entry of its last row takes the ZOH series branch; elsewhere a large
+        # w_dt puts delta above the cutoff wherever sum(u) > 0.2
+        blk.ssm.dt_bias.data[...] = -30.0
+        blk.ssm.w_dt.data[...] = 100.0
+        x = np.random.default_rng(50 + L).standard_normal((L, 64))
+        series_rows = [t for t in (rows // 2, rows, 2 * rows + 3) if t < L]
+        for t in series_rows:  # mid-block, a block's first row, mid-block
+            x[t - ssm.CONV_WIDTH + 1 : t + 1] = 0.0
+        xt = Tensor(x, dtype=dtype)
+        taped = layer.forward(xt).data
+        T.active_tape().reset()
+
+        zoh, seen = ssm._zoh_np, []
+
+        def spy(a, delta, a_bar, r):
+            small = zoh(a, delta, a_bar, r)
+            seen.append(np.zeros(len(delta), bool) if small is None else small.all(axis=(1, 2)))
+            return small
+
+        monkeypatch.setattr(ssm, "_zoh_np", spy)
+        with T.no_grad():
+            fast = layer.forward(xt).data
+        assert len(T.active_tape()) == 0
+        assert fast.dtype == taped.dtype and np.array_equal(fast, taped)
+        series = np.concatenate(seen) if seen else np.zeros(0, bool)
+        assert set(series_rows) <= set(np.flatnonzero(series))
+        assert L < rows or not series.all()

@@ -473,6 +473,24 @@ class TestTraining:
         assert err.value.batch_ids
         assert len(T.active_tape()) == 0  # the failed forward left no nodes
 
+    @pytest.mark.parametrize("clip_norm", [1.0, 0.0])
+    def test_non_finite_gradient_stops_before_the_update(self, tiny_dataset, tmp_path,
+                                                         monkeypatch, clip_norm):
+        clip = TR.clip_global_norm
+
+        def poisoned_clip(params, max_norm):
+            next(p for p in params.values() if p.grad is not None).grad.flat[0] = np.inf
+            return clip(params, max_norm)
+
+        updates = []
+        monkeypatch.setattr(TR, "clip_global_norm", poisoned_clip)
+        monkeypatch.setattr(TR.AdamW, "step", lambda self: updates.append(self))
+        cfg = tiny_cfg(tmp_path, tiny_dataset, clip_norm=clip_norm, max_steps=1)
+        with pytest.raises(TR.TrainAbort, match="gradient norm inf") as err:
+            TR.train_run(cfg)
+        assert err.value.step == 1
+        assert updates == []
+
     def test_failed_loss_leaves_no_nodes_on_the_tape(self, tmp_path):
         from ssmocr.decoders import InfeasibleAlignmentError
         from ssmocr.pgm import write_pgm
