@@ -63,18 +63,19 @@ def _tensor_dtype(arr: np.ndarray) -> str:
 
 
 def save(path, ckpt: Checkpoint) -> None:
-    names = sorted(ckpt.tensors)
-    directory = []
-    payload = bytearray()
-    for name in names:
+    """Write the checkpoint piece by piece, each tensor straight from its
+    little-endian buffer, with the CRC accumulated as the pieces go."""
+    directory, arrays, offset = [], [], 0
+    for name in sorted(ckpt.tensors):
         arr = np.ascontiguousarray(ckpt.tensors[name])
         dtype = _tensor_dtype(arr)
-        raw = arr.astype(_DTYPES[dtype], copy=False).tobytes()
+        arr = arr.astype(_DTYPES[dtype], copy=False)
         directory.append({
             "name": name, "dtype": dtype, "shape": list(arr.shape),
-            "offset": len(payload), "nbytes": len(raw),
+            "offset": offset, "nbytes": arr.nbytes,
         })
-        payload.extend(raw)
+        arrays.append(arr)
+        offset += arr.nbytes
     header = {
         "model_kind": ckpt.model_kind,
         "config": dict(sorted(ckpt.config.items())),
@@ -85,20 +86,18 @@ def save(path, ckpt: Checkpoint) -> None:
     }
     header_bytes = json.dumps(header, sort_keys=True, ensure_ascii=True,
                               separators=(",", ":")).encode("ascii")
-    body = b"".join([
-        MAGIC,
-        struct.pack("<I", VERSION),
-        struct.pack("<Q", len(header_bytes)),
-        header_bytes,
-        bytes(payload),
-    ])
+    pieces = [MAGIC, struct.pack("<I", VERSION), struct.pack("<Q", len(header_bytes)),
+              header_bytes, *arrays]
     # write beside the target, then rename over it: an interrupted save
     # leaves the previous checkpoint untouched
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(body)
-            f.write(struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+            crc = 0
+            for piece in pieces:
+                f.write(piece)
+                crc = zlib.crc32(piece, crc)
+            f.write(struct.pack("<I", crc & 0xFFFFFFFF))
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)

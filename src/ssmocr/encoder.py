@@ -47,6 +47,16 @@ def prepare_image(img: np.ndarray, min_h: int, min_w: int) -> np.ndarray:
     return img
 
 
+def frame_count(h: int, w: int, min_h: int, min_w: int, pooling) -> int:
+    """Frames the encoder gives an h x w image that ``prepare_image`` pads
+    to min_h x min_w: the 3x3 convs keep both sides, and each stage's
+    ceil-mode pool divides them."""
+    h, w = max(h, min_h), max(w, min_w)
+    for ph, pw in pooling:
+        h, w = -(-h // ph), -(-w // pw)
+    return h * w
+
+
 @dataclass
 class FeatureGrid:
     grid: Tensor  # (H', W', D)

@@ -5,13 +5,13 @@ input-dependent coefficients. The sequential recurrence, O(L) work, is
 the production path on a CPU (tape forward, adjoint and prefill); the
 log-depth doubling scan, O(L log L) work, is kept only as its cross-check.
 Discretisation walks the sequence in row blocks whose (rows, I, N)
-temporaries fit in cache. Off the tape (the generation prefill, and every
-MambaLayer forward that records nothing) the scan and the readout walk
-the same row blocks, so no (L, I, N) array is built.
+temporaries fit in cache. Off the tape the scan and its readout walk the
+same row blocks (``_scan_block``), so no (L, I, N) state is built; the
+generation prefill and unrecorded MambaLayer forwards build none at all.
 The MambaBlock wraps the scan in the canonical gated block (in-projection,
 depthwise causal conv, SiLU, skip gain), and the BiMambaConnector runs one
 shared block over both temporal directions with additive fusion; the
-connector's block stays on the tape chain, recorded or not.
+connector's block stays on the three-op tape chain, recorded or not.
 """
 
 from __future__ import annotations
@@ -52,6 +52,16 @@ def _scan_sequential(a: np.ndarray, b: np.ndarray, h0: np.ndarray | None = None,
         np.multiply(a_t, h_prev, out=h_t)
         h_t += b_t
     return out
+
+
+def _scan_block(a, bx, c, h, out) -> None:
+    """Scan one (rows, I, N) block from the state carried in h[0] and read
+    it out, out_t = h_t @ c_t. h is a (rows + 1, I, N) buffer: the states
+    go to h[1:], and the block's last one is carried back into h[0]."""
+    m = len(bx)
+    _scan_sequential(a, bx, h[0], out=h[1 : m + 1])
+    out[...] = (h[1 : m + 1] @ c[:, :, None])[:, :, 0]
+    h[0] = h[m]
 
 
 def _scan_parallel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -150,6 +160,7 @@ def discretize_zoh(a: Tensor, delta: Tensor, b: Tensor):
     the adjoint is three contractions: g_delta = sum_n Q,
     g_a = (sum_l delta * Q - sum_l P * r) / a and g_b = sum_i g_b_bar * r.
     Entries on the series branch take their own derivatives instead.
+    Off the tape r lives in one row block and no series mask is kept.
     """
     ad, dd, bd = a.data, delta.data, b.data
     if dd.ndim != 2 or ad.shape[0] != dd.shape[1]:
@@ -157,15 +168,17 @@ def discretize_zoh(a: Tensor, delta: Tensor, b: Tensor):
     if bd.shape != (dd.shape[0], ad.shape[1]):
         raise T.ShapeError(f"discretize_zoh: b {b.shape} does not fit a {a.shape}")
     length, rows = dd.shape[0], _block_rows(ad.size)
+    keep = T.records((a, delta, b))  # only the backward reads r and small
     a_bar = np.empty((length,) + ad.shape, dtype=np.result_type(ad, dd))
-    r = np.empty_like(a_bar)
+    r = np.empty((length if keep else min(rows, length),) + ad.shape, dtype=a_bar.dtype)
     b_bar = np.empty(a_bar.shape, dtype=np.result_type(a_bar, bd))
     small = None
     for s in range(0, length, rows):
         blk = slice(s, s + rows)
-        blk_small = _zoh_np(ad, dd[blk], a_bar[blk], r[blk])
-        np.multiply(r[blk], bd[blk, None, :], out=b_bar[blk])
-        if blk_small is not None:
+        r_blk = r[blk] if keep else r[: len(dd[blk])]
+        blk_small = _zoh_np(ad, dd[blk], a_bar[blk], r_blk)
+        np.multiply(r_blk, bd[blk, None, :], out=b_bar[blk])
+        if keep and blk_small is not None:
             if small is None:
                 small = np.zeros(a_bar.shape, dtype=bool)
             small[blk] = blk_small
@@ -206,6 +219,7 @@ def selective_scan(a_bar: Tensor, b_bar_x: Tensor, c: Tensor,
     a_bar, b_bar_x: (L, I, N); c: (L, N). L = 0 is valid. The default
     sequential recurrence is the production path; mode="parallel" runs the
     doubling scan as its cross-check. Both share one reverse-time adjoint.
+    Off the tape the sequential scan walks row blocks and keeps no h.
     """
     ad, bd, cd = a_bar.data, b_bar_x.data, c.data
     if ad.shape != bd.shape or ad.ndim != 3:
@@ -214,17 +228,21 @@ def selective_scan(a_bar: Tensor, b_bar_x: Tensor, c: Tensor,
         raise T.ShapeError(f"selective_scan: c {c.shape} does not fit {a_bar.shape}")
     if (d_skip is None) != (x is None):
         raise T.ShapeError("selective_scan: d_skip and x must be given together")
-    if mode == "sequential":
-        h = _scan_sequential(ad, bd)
-    elif mode == "parallel":
-        h = _scan_parallel(ad, bd)
-    else:
+    if mode not in ("sequential", "parallel"):
         raise ValueError(f"unknown scan mode {mode!r}")
-    y = (h @ cd[:, :, None])[:, :, 0]
-    inputs = [a_bar, b_bar_x, c]
+    inputs = [a_bar, b_bar_x, c] + ([] if d_skip is None else [d_skip, x])
+    if mode == "sequential" and not T.records(inputs):  # no backward reads h
+        length, rows = ad.shape[0], _block_rows(ad.shape[1] * ad.shape[2])
+        h = np.zeros((min(rows, length) + 1,) + ad.shape[1:], dtype=bd.dtype)
+        y = np.empty(ad.shape[:2], dtype=np.result_type(bd, cd))
+        for s in range(0, length, rows):
+            blk = slice(s, s + rows)
+            _scan_block(ad[blk], bd[blk], cd[blk], h, y[blk])
+    else:
+        h = (_scan_sequential if mode == "sequential" else _scan_parallel)(ad, bd)
+        y = (h @ cd[:, :, None])[:, :, 0]
     if d_skip is not None:
         y = y + d_skip.data * x.data
-        inputs += [d_skip, x]
         xd, sd = x.data, d_skip.data
 
     def bwd(gy):
@@ -418,17 +436,17 @@ class MambaBlock:
         a = -np.exp(self.ssm.a_log.data)
         state = self.init_state()
         length, rows = x.shape[0], _block_rows(a.size)
-        a_bar, bx, h = (np.empty((min(rows, length), i, n), dtype=u.dtype) for _ in range(3))
+        a_bar, bx = (np.empty((min(rows, length), i, n), dtype=u.dtype) for _ in range(2))
+        h = np.zeros((min(rows, length) + 1, i, n), dtype=u.dtype)
         y = np.empty_like(u)
         for s in range(0, length, rows):
             blk, m = slice(s, s + rows), min(rows, length - s)
-            ab, bxb, hb = a_bar[:m], bx[:m], h[:m]
+            ab, bxb = a_bar[:m], bx[:m]
             _zoh_np(a, delta[blk], ab, bxb)
             bxb *= b[blk, None, :]
             bxb *= u[blk, :, None]
-            _scan_sequential(ab, bxb, state.h, out=hb)
-            state.h[...] = hb[-1]
-            y[blk] = (hb @ c[blk, :, None])[:, :, 0]
+            _scan_block(ab, bxb, c[blk], h, y[blk])
+        state.h[...] = h[0]
         y += self.ssm.d_skip.data * u
         out = (y * _silu_np(gate)) @ self.w_out.data + self.b_out.data
         T.check_finite(out, "mamba_block")

@@ -9,6 +9,7 @@ binary PGM files plus TAB-separated manifests.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -210,6 +211,15 @@ class GlyphSet:
         return 2 * self.scale
 
 
+@functools.lru_cache(maxsize=1024)
+def _glyph_block(ch: str, scale: int) -> np.ndarray:
+    """The ink mask of ch at scale, (7*scale, 5*scale), built once per
+    (char, scale) and read-only, since every render shares it."""
+    block = np.kron(GlyphSet(scale).bitmap(ch), np.ones((scale, scale), dtype=bool))
+    block.flags.writeable = False
+    return block
+
+
 def _render_core(text: str, gs: GlyphSet) -> np.ndarray:
     """Glyph band only: height 7*scale, horizontal margins included."""
     m = gs.margin
@@ -217,9 +227,7 @@ def _render_core(text: str, gs: GlyphSet) -> np.ndarray:
     img = np.full((gs.line_core_h, width), 255, dtype=np.uint8)
     x = m
     for ch in text:
-        bits = gs.bitmap(ch)
-        block = np.kron(bits, np.ones((gs.scale, gs.scale), dtype=bool))
-        img[:, x : x + GLYPH_W * gs.scale][block] = 0
+        img[:, x : x + GLYPH_W * gs.scale][_glyph_block(ch, gs.scale)] = 0
         x += gs.cell_w
     return img
 

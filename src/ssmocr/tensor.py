@@ -25,6 +25,7 @@ F64 = np.dtype(np.float64)
 LN_EPS = 1e-5  # layernorm epsilon
 BN_EPS = 1e-5  # batchnorm epsilon
 BN_MOMENTUM = 0.1  # weight of the newest sample in the batchnorm running stats
+CONV_BLOCK_ELEMS = 1 << 18  # im2col entries per conv2d row block: 1 MiB of f32
 
 
 class ShapeError(ValueError):
@@ -454,6 +455,8 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
         raise ShapeError(
             f"conv2d: kernel ({kh},{kw}) larger than padded input ({hp},{wp})"
         )
+    if bias is not None and bias.shape != (o,):
+        raise ShapeError(f"conv2d: bias shape {bias.shape} != ({o},)")
     ho = (hp - kh) // sh + 1
     wo = (wp - kw) // sw + 1
     xp = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw)))
@@ -462,22 +465,25 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     win = np.lib.stride_tricks.as_strided(
         xp, (c, kh, kw, ho, wo), (sc, srow, scol, srow * sh, scol * sw)
     )
-    cols = np.ascontiguousarray(win.reshape(c * kh * kw, ho * wo))
-    out = (w.data.reshape(o, -1) @ cols).reshape(o, ho, wo)
+    # im2col one block of output rows at a time, each GEMM into its slice
+    out = np.empty((o, ho, wo), dtype=x.data.dtype)
+    flat, wmat = out.reshape(o, -1), w.data.reshape(o, -1)
+    rows = max(1, CONV_BLOCK_ELEMS // (c * kh * kw * wo))
+    for r in range(0, ho, rows):
+        cols = win[:, :, :, r : r + rows].reshape(c * kh * kw, -1)
+        np.matmul(wmat, cols, out=flat[:, r * wo : (r + rows) * wo])
     if bias is not None:
-        if bias.shape != (o,):
-            raise ShapeError(f"conv2d: bias shape {bias.shape} != ({o},)")
-        out = out + bias.data[:, None, None]
-    wd_data = w.data
+        out += bias.data[:, None, None]
     inputs = (x, w) if bias is None else (x, w, bias)
     x_attached = _attached(x)  # a detached image (stage 1) needs no gx
 
     def bwd(g):
         gflat = g.reshape(o, -1)
+        cols = win.reshape(c * kh * kw, ho * wo)  # rebuilt from xp, kept for gxp
         gw = (gflat @ cols.T).reshape(w.shape)
         gx = None
         if x_attached:
-            gcols = (wd_data.reshape(o, -1).T @ gflat).reshape(c, kh, kw, ho, wo)
+            gcols = (wmat.T @ gflat).reshape(c, kh, kw, ho, wo)
             gxp = np.zeros_like(xp)
             for u in range(kh):
                 for v in range(kw):
@@ -489,7 +495,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
             return (gx, gw)
         return (gx, gw, g.sum(axis=(1, 2)))
 
-    return custom_op("conv2d", np.ascontiguousarray(out), inputs, bwd)
+    return custom_op("conv2d", out, inputs, bwd)
 
 
 def maxpool2d(x: Tensor, window) -> Tensor:
@@ -587,8 +593,9 @@ def softplus_np(x: np.ndarray) -> np.ndarray:
 def silu(x: Tensor) -> Tensor:
     xd = x.data
     sig = sigmoid_np(xd)
+    out = np.multiply(xd, sig, out=None if records((x,)) else sig)  # only bwd reads sig
     return custom_op(
-        "silu", xd * sig, (x,), lambda g: (g * sig * (1.0 + xd * (1.0 - sig)),)
+        "silu", out, (x,), lambda g: (g * sig * (1.0 + xd * (1.0 - sig)),)
     )
 
 
@@ -714,7 +721,8 @@ def batchnorm2d(x: Tensor, scale: Tensor, shift: Tensor,
         xhat = xd - running_mean.astype(dt)[:, None, None]
     inv = 1.0 / np.sqrt(var + dt.type(BN_EPS))
     xhat *= inv[:, None, None]
-    out = xhat * scale.data[:, None, None]
+    keep = records((x, scale, shift))  # off the tape nothing reads xhat again
+    out = np.multiply(xhat, scale.data[:, None, None], out=None if keep else xhat)
     out += shift.data[:, None, None]
     gain = (scale.data * inv)[:, None, None]
 

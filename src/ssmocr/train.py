@@ -12,7 +12,8 @@ import numpy as np
 from . import checkpoint as C
 from . import tensor as T
 from .config import RunConfig, config_to_mapping
-from .decoders import TargetTooLongError
+from .decoders import InfeasibleAlignmentError, TargetTooLongError, ctc_required_frames
+from .encoder import frame_count
 from .metrics import EvalReport
 from .model import OcrModel, build_model
 from .pgm import read_pgm
@@ -141,6 +142,25 @@ def _decode_max_len(samples, cfg: RunConfig) -> int:
     return min(cfg.max_len, longest + 10)
 
 
+def _refuse_unfit(cfg: RunConfig, vocabulary: Vocabulary, s: LoadedSample, tag: str):
+    """Refuse before any step a sample its head cannot fit: a CTC target
+    needing more frames than the image gives (augmentation keeps the shape,
+    so the count is exact), or a transcript over the decoder's budget."""
+    if cfg.model_kind == "mamba-ctc":
+        frames = frame_count(*s.image.shape[:2], cfg.pad_min_h, cfg.pad_min_w,
+                             cfg.enc_pooling)
+        need = max(ctc_required_frames(vocabulary.encode(s.transcript)), 1)
+        if frames < need:
+            raise InfeasibleAlignmentError(
+                f"{tag} image gives {frames} frames; its transcript needs {need}")
+        return
+    key, budget = (("model.t_max", cfg.t_max - 1) if cfg.model_kind == "mamba-nar"
+                   else ("model.max_len", cfg.max_len))
+    if len(s.transcript) > budget:
+        raise TargetTooLongError(
+            f"{tag} transcript has {len(s.transcript)} characters; {key} allows {budget}")
+
+
 def train_run(cfg: RunConfig, log=None) -> TrainResult:
     """Run the configured training job; returns paths of the written
     checkpoints. Fully deterministic given (config, seed, dataset)."""
@@ -168,15 +188,9 @@ def train_run(cfg: RunConfig, log=None) -> TrainResult:
     if synth_samples:
         texts += [s.transcript for s in synth_samples]
     vocabulary = Vocabulary.from_texts(texts)
-    if cfg.model_kind != "mamba-ctc":
-        key, budget = (("model.t_max", cfg.t_max - 1) if cfg.model_kind == "mamba-nar"
-                       else ("model.max_len", cfg.max_len))
-        for split, samples in (("train", train_samples), ("synth", synth_samples or [])):
-            for i, s in enumerate(samples):
-                if len(s.transcript) > budget:
-                    raise TargetTooLongError(
-                        f"{split}:{i} transcript has {len(s.transcript)} characters; "
-                        f"{key} allows {budget}")
+    for split, samples in (("train", train_samples), ("synth", synth_samples or [])):
+        for i, s in enumerate(samples):
+            _refuse_unfit(cfg, vocabulary, s, f"{split}:{i}")
     model = build_model(cfg, vocabulary)
     params = model.params()
     opt = AdamW(params, lr=cfg.lr, betas=(cfg.beta1, cfg.beta2),

@@ -69,6 +69,29 @@ class TestShapes:
         assert a == b
 
 
+class TestFrameCount:
+    @pytest.mark.parametrize("kind,pooling", [
+        ("mamba-ctc", None), ("mamba-ar", PAPER_POOLING),
+        ("mamba-ctc", ((2, 2), (2, 2), (2, 1), (3, 1), (2, 1)))])
+    def test_count_is_the_encoded_length(self, kind, pooling):
+        from ssmocr.config import RunConfig, min_image_size
+        from ssmocr.model import build_model
+        from ssmocr.vocab import Vocabulary
+
+        kw = {} if pooling is None else dict(
+            zip(("pad_min_h", "pad_min_w"), min_image_size(pooling)), enc_pooling=pooling)
+        cfg = RunConfig(model_kind=kind, d_model=16, n_state=4, layers=1,
+                        enc_channels=(4, 4, 8, 8), **kw)
+        model = build_model(cfg, Vocabulary(list("ab"))).eval()
+        rng = np.random.default_rng(2)
+        for h, w in [(8, 3), (32, 16), (33, 17), (45, 100), (20, 257), (70, 1001)]:
+            img = (rng.random((h, w)) * 255).astype(np.uint8)
+            with T.no_grad():
+                frames = model.encode(img).shape[0]
+            assert frames == E.frame_count(h, w, cfg.pad_min_h, cfg.pad_min_w,
+                                           cfg.enc_pooling)
+
+
 class TestPrepareImage:
     def test_pads_with_white_to_minima(self):
         img = np.zeros((10, 20), dtype=np.uint8)

@@ -7,6 +7,7 @@ from ssmocr import ssm
 from ssmocr import tensor as T
 from ssmocr.tensor import Tensor
 from gradcheck import check_grads
+from memtrace import traced_bytes
 
 
 def tt(x, grad=False):
@@ -393,6 +394,78 @@ across_row_blocks = pytest.mark.parametrize(
 def make_block(seed=0, d=4, n=3, expand=2, dtype="f64"):
     return ssm.MambaBlock(d, n_state=n, expand=expand,
                           rng=np.random.default_rng(seed), dtype=dtype)
+
+
+DESK_ROWS = ssm._block_rows(128 * 16)  # row block at desk (I, N) = (128, 16)
+
+
+def chain_inputs(L, dtype, series=True):
+    """Desk-width inputs to the ZOH -> b_bar * u -> scan chain: (a, delta,
+    b, c, u, d_skip). With ``series``, whole rows of delta take the ZOH
+    series branch, mid-block and on a block's first row."""
+    i, n = 128, 16
+    rng = np.random.default_rng(60 + L)
+    a = -np.tile(np.arange(1.0, n + 1), (i, 1)) * rng.uniform(0.5, 2.0, (i, n))
+    delta = rng.uniform(1e-3, 0.5, (L, i))
+    if series:
+        for t in (DESK_ROWS // 2, DESK_ROWS, 2 * DESK_ROWS + 3):
+            delta[t:t + 1] = 1e-9
+    b, c = rng.standard_normal((L, n)), rng.standard_normal((L, n))
+    u, d_skip = rng.standard_normal((L, i)), rng.standard_normal(i)
+    return [Tensor(v, dtype=dtype) for v in (a, delta, b, c, u, d_skip)]
+
+
+def recorded(ts):
+    return [Tensor(t.data, requires_grad=True) for t in ts]
+
+
+class TestUnrecordedChain:
+    """Off the tape ``discretize_zoh`` keeps r in one row block and
+    ``selective_scan`` walks row blocks: each equals its recorded output
+    bitwise and builds nothing that only its backward reads."""
+
+    @across_row_blocks
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_zoh_equals_the_recorded_zoh_bitwise(self, blocks, extra_rows, dtype):
+        a, delta, b, *_ = chain_inputs(blocks * DESK_ROWS + extra_rows, dtype)
+        taped = ssm.discretize_zoh(*recorded([a, delta, b]))
+        assert taped[0].node is not None
+        T.active_tape().reset()
+        fast = ssm.discretize_zoh(a, delta, b)
+        for got, expect in zip(fast, taped):
+            assert got.node is None and got.data.dtype == expect.data.dtype
+            assert np.array_equal(got.data, expect.data)
+
+    @across_row_blocks
+    @pytest.mark.parametrize("skip", [False, True])
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_scan_equals_the_recorded_scan_bitwise(self, blocks, extra_rows, skip, dtype):
+        a, delta, b, c, u, d_skip = chain_inputs(blocks * DESK_ROWS + extra_rows, dtype)
+        a_bar, b_bar = ssm.discretize_zoh(a, delta, b)
+        args = [a_bar, T.mul_rowbcast(b_bar, u), c] + ([d_skip, u] if skip else [])
+        taped = ssm.selective_scan(*recorded(args))
+        assert taped.node is not None
+        T.active_tape().reset()
+        with T.no_grad():
+            fast = ssm.selective_scan(*recorded(args))
+        assert fast.node is None and fast.data.dtype == taped.data.dtype
+        assert np.array_equal(fast.data, taped.data)
+
+    def test_scan_peak_stays_below_one_state_array(self):
+        a, delta, b, c, u, d_skip = chain_inputs(3 * DESK_ROWS + 7, "f32")
+        a_bar, b_bar = ssm.discretize_zoh(a, delta, b)
+        bx = T.mul_rowbcast(b_bar, u)
+        with T.no_grad():
+            _, peak, _ = traced_bytes(lambda: ssm.selective_scan(a_bar, bx, c, d_skip, u))
+        assert peak < a_bar.data.nbytes
+
+    def test_zoh_peak_stays_below_three_state_arrays(self):
+        # its two (L, I, N) outputs plus row blocks; a block on the series
+        # branch adds block-sized temporaries, so no row takes it here
+        a, delta, b, *_ = chain_inputs(3 * DESK_ROWS + 7, "f32", series=False)
+        with T.no_grad():
+            (a_bar, _), peak, _ = traced_bytes(lambda: ssm.discretize_zoh(a, delta, b))
+        assert peak < 3 * a_bar.data.nbytes
 
 
 class TestMambaBlock:

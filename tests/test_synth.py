@@ -74,6 +74,43 @@ class TestRenderParagraph:
             S.render_paragraph(["x"] * 11, S.GlyphSet(scale=2))
 
 
+def uncached_core(text, gs):
+    """The glyph band as drawn before glyph blocks were cached: the bit
+    table and its np.kron scaling rebuilt for every character."""
+    m = gs.margin
+    width = 2 * m + (len(text) * gs.cell_w - S.GLYPH_SPACING * gs.scale if text else 0)
+    img = np.full((gs.line_core_h, width), 255, dtype=np.uint8)
+    x = m
+    for ch in text:
+        block = np.kron(gs.bitmap(ch), np.ones((gs.scale, gs.scale), dtype=bool))
+        img[:, x : x + S.GLYPH_W * gs.scale][block] = 0
+        x += gs.cell_w
+    return img
+
+
+class TestGlyphCache:
+    @pytest.mark.parametrize("scale", [1, 2, 3, 4])
+    def test_cached_block_is_the_scaled_bitmap_and_read_only(self, scale):
+        gs = S.GlyphSet(scale=scale)
+        for ch in [*S.FONT, "\u20ac"]:
+            block = S._glyph_block(ch, scale)
+            expect = np.kron(gs.bitmap(ch), np.ones((scale, scale), dtype=bool))
+            assert block.dtype == expect.dtype and np.array_equal(block, expect)
+            assert not block.flags.writeable
+            assert S._glyph_block(ch, scale) is block
+
+    @pytest.mark.parametrize("scale", [1, 3])
+    def test_renders_are_byte_identical_to_the_uncached_formula(self, monkeypatch, scale):
+        gs = S.GlyphSet(scale=scale)
+        text = "".join(S.FONT) + "\u20ac~"
+        lines = ["Quick brown fox.", text, "", "\u00e9t\u00e9 \u20ac 42"]
+        got = [S.render_line(text, gs), S.render_paragraph(lines, gs)[0]]
+        monkeypatch.setattr(S, "_render_core", uncached_core)
+        expect = [S.render_line(text, gs), S.render_paragraph(lines, gs)[0]]
+        for g, e in zip(got, expect):
+            assert g.shape == e.shape and g.tobytes() == e.tobytes()
+
+
 class TestAugment:
     def test_zero_probability_is_identity(self):
         img = S.render_line("abc", S.GlyphSet(scale=2))

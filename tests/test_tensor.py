@@ -9,6 +9,7 @@ from scipy.special import expit
 
 from ssmocr import tensor as T
 from gradcheck import check_grads
+from memtrace import traced_bytes
 
 
 def matmul_oracle(a, b):
@@ -95,6 +96,58 @@ class TestConv2d:
         out = T.conv2d(T.Tensor(x), T.Tensor(w), T.Tensor(b), stride, padding)
         ref = conv2d_oracle(x, w, b, stride, padding)
         assert np.abs(out.data - ref).max() <= 1e-6 * max(1.0, np.abs(ref).max())
+
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("stride", [2, (2, 1)])
+    @pytest.mark.parametrize("blocks,extra_rows", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 7)])
+    def test_matches_nested_loops_across_row_blocks(self, monkeypatch, blocks, extra_rows,
+                                                    stride, bias):
+        # the block constant sized so that every GEMM covers `rows` output
+        # rows; ho in {1, rows-1, rows, rows+1, 3*rows+7}, padding 0
+        rows, c, k, wo = 4, 3, 3, 5
+        ho = blocks * rows + extra_rows
+        sh, sw = (stride, stride) if isinstance(stride, int) else stride
+        monkeypatch.setattr(T, "CONV_BLOCK_ELEMS", rows * c * k * k * wo + k)
+        rng = np.random.default_rng(ho)
+        x = rng.standard_normal((c, sh * (ho - 1) + k, sw * (wo - 1) + k))
+        w = rng.standard_normal((4, c, k, k))
+        b = rng.standard_normal(4) if bias else None
+        out = T.conv2d(T.Tensor(x), T.Tensor(w), None if b is None else T.Tensor(b), stride, 0)
+        assert out.shape == (4, ho, wo)
+        ref = conv2d_oracle(x, w, b, stride, 0)
+        assert np.abs(out.data - ref).max() <= 1e-6 * max(1.0, np.abs(ref).max())
+
+    # 16 channels through a 3x3 kernel into 8: the im2col matrix is 18x the output
+    MEM_SHAPES = ((16, 32, 200), (8, 16, 3, 3))
+
+    def test_unrecorded_peak_stays_below_the_column_matrix(self):
+        (c, h, wd), wshape = self.MEM_SHAPES
+        rng = np.random.default_rng(4)
+        x = T.Tensor(rng.standard_normal((c, h, wd)), dtype="f32")
+        w = T.Tensor(rng.standard_normal(wshape), dtype="f32", requires_grad=True)
+        cols_bytes = c * 9 * h * wd * 4
+        with T.no_grad():
+            _, peak, _ = traced_bytes(lambda: T.conv2d(x, w, padding=1))
+        assert peak < cols_bytes
+
+    def test_recorded_forward_keeps_less_than_the_column_matrix(self):
+        (c, h, wd), wshape = self.MEM_SHAPES
+        rng = np.random.default_rng(5)
+        x = T.Tensor(rng.standard_normal((c, h, wd)), dtype="f32", requires_grad=True)
+        w = T.Tensor(rng.standard_normal(wshape), dtype="f32", requires_grad=True)
+        cols_bytes = c * 9 * h * wd * 4
+        try:
+            out, _, kept = traced_bytes(lambda: T.conv2d(x, w, padding=1))
+            assert out.node is not None
+            assert kept < cols_bytes
+            # the backward rebuilds the columns it no longer keeps
+            gx, gw = out.node.backward(np.ones(out.shape, dtype=np.float32))
+            cols = np.lib.stride_tricks.sliding_window_view(
+                np.pad(x.data, ((0, 0), (1, 1), (1, 1))), (3, 3), axis=(1, 2))
+            expect = cols.sum(axis=(1, 2))[None].repeat(wshape[0], axis=0)
+            assert np.abs(gw - expect).max() <= 1e-4 * np.abs(expect).max()
+        finally:
+            T.active_tape().reset()
 
     def test_image_gradient_only_for_attached_input(self):
         # a detached image (encoder stage 1) gets no gx, and the weight and
@@ -255,6 +308,25 @@ class TestBatchnorm:
             assert rel(got, expect) <= 1e-12
         assert rel(rm, expect_rm) <= 1e-12 and rel(rv, expect_rv) <= 1e-12
 
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_unrecorded_output_is_the_recorded_output_bitwise(self, dtype, training):
+        rng = np.random.default_rng(8 + training)
+        c = 4
+        x = rng.standard_normal((c, 16, 40)) * 2.5 + 1.5
+        scale, shift = rng.uniform(0.5, 1.5, c), rng.standard_normal(c)
+        stats = rng.standard_normal(c), rng.uniform(0.5, 2.0, c)
+        outs = []
+        for record in (True, False):
+            xt, st, bt = (T.Tensor(v, dtype=dtype, requires_grad=record)
+                          for v in (x, scale, shift))
+            rm, rv = (v.copy() for v in stats)
+            outs.append(T.batchnorm2d(xt, st, bt, rm, rv, training=training))
+            assert (outs[-1].node is not None) == record
+        T.active_tape().reset()
+        assert outs[1].data.dtype == outs[0].data.dtype
+        assert np.array_equal(outs[1].data, outs[0].data)
+
     @pytest.mark.parametrize("shape", [(3, 4, 5), (4, 16, 40)])
     def test_conv_bias_cancels_in_training_mode(self, shape):
         # why the encoder's conv stages carry no bias: the sample mean that
@@ -293,6 +365,16 @@ class TestActivations:
         assert T.gelu(z).data[0] == 0.0
         assert T.silu(z).data[0] == 0.0
         assert abs(T.softplus(z).data[0] - np.log(2.0)) < 1e-12
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_unrecorded_silu_is_the_recorded_silu_bitwise(self, dtype):
+        x = np.random.default_rng(9).standard_normal((4, 16, 40)) * 6.0
+        taped = T.silu(T.Tensor(x, dtype=dtype, requires_grad=True))
+        T.active_tape().reset()
+        with T.no_grad():
+            fast = T.silu(T.Tensor(x, dtype=dtype, requires_grad=True))
+        assert fast.data.dtype == taped.data.dtype
+        assert np.array_equal(fast.data, taped.data)
 
     def test_softmax_symmetry(self):
         out = T.softmax_lastdim(T.Tensor([[0.0, 0.0, 0.0]], dtype="f64"))

@@ -198,6 +198,40 @@ class TestCheckpoint:
             step=17,
         )
 
+    def test_bytes_equal_the_joined_serializer(self, tmp_path):
+        # the format as written before save streamed its pieces: one joined
+        # body of tobytes() payloads, then the CRC of the whole body
+        rng = np.random.default_rng(1)
+        ck = dataclasses.replace(self.make_ckpt(), tensors={
+            "w": rng.standard_normal((3, 4)).astype(np.float32),
+            "b": rng.standard_normal(5),
+            "cube": rng.standard_normal((2, 3, 4)).astype(np.float32),
+            "strided": rng.standard_normal((6, 4))[::2, 1:],
+            "empty": np.zeros((0, 3), dtype=np.float32),
+            "scalar": np.float64(2.5),
+        })
+        import json, struct, zlib
+        directory, payload = [], bytearray()
+        for name in sorted(ck.tensors):
+            arr = np.ascontiguousarray(ck.tensors[name])
+            dtype = "f32" if arr.dtype == np.float32 else "f64"
+            raw = arr.astype({"f32": "<f4", "f64": "<f8"}[dtype]).tobytes()
+            directory.append({"name": name, "dtype": dtype, "shape": list(arr.shape),
+                              "offset": len(payload), "nbytes": len(raw)})
+            payload.extend(raw)
+        header = json.dumps({
+            "model_kind": ck.model_kind, "config": dict(sorted(ck.config.items())),
+            "vocab": ck.vocab_chars, "rng_state": ck.rng_state, "step": ck.step,
+            "tensors": directory}, sort_keys=True, ensure_ascii=True,
+            separators=(",", ":")).encode("ascii")
+        body = b"".join([C.MAGIC, struct.pack("<I", C.VERSION),
+                         struct.pack("<Q", len(header)), header, bytes(payload)])
+        expect = body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+        C.save(tmp_path / "a.ckpt", ck)
+        assert (tmp_path / "a.ckpt").read_bytes() == expect
+        C.save(tmp_path / "b.ckpt", C.load(tmp_path / "a.ckpt"))
+        assert (tmp_path / "b.ckpt").read_bytes() == expect
+
     def test_roundtrip_byte_identical(self, tmp_path):
         p1 = tmp_path / "a.ckpt"
         p2 = tmp_path / "b.ckpt"
@@ -491,19 +525,43 @@ class TestTraining:
         assert err.value.step == 1
         assert updates == []
 
-    def test_failed_loss_leaves_no_nodes_on_the_tape(self, tmp_path):
+    def test_failed_loss_leaves_no_nodes_on_the_tape(self, tiny_dataset, tmp_path,
+                                                     monkeypatch):
+        from ssmocr import decoders
+
+        recorded = []
+
+        def failing_loss(frame_logits, targets):
+            recorded.append(len(T.active_tape()))  # the forward's nodes
+            raise RuntimeError("loss failed")
+
+        monkeypatch.setattr(decoders, "ctc_loss", failing_loss)
+        T.active_tape().reset()
+        with pytest.raises(RuntimeError, match="loss failed"):
+            TR.train_run(tiny_cfg(tmp_path, tiny_dataset, batch_size=1))
+        assert recorded and recorded[0] > 0
+        assert len(T.active_tape()) == 0
+
+    @pytest.mark.parametrize("split", ["train", "synth"])
+    def test_unalignable_ctc_sample_refused_before_the_first_step(
+            self, split, tiny_dataset, tmp_path, monkeypatch):
         from ssmocr.decoders import InfeasibleAlignmentError
         from ssmocr.pgm import write_pgm
         from ssmocr.synth import Sample, save_manifest
 
-        # a blank 16 px wide line has too few frames for 26 characters
+        # a blank 32 x 16 px line gives 2 frames; 26 characters need 26
         write_pgm(tmp_path / "narrow.pgm", np.full((32, 16), 255, dtype=np.uint8))
-        save_manifest(tmp_path / "train.tsv",
+        save_manifest(tmp_path / "narrow.tsv",
                       [Sample("narrow.pgm", "abcdefghijklmnopqrstuvwxyz")])
-        T.active_tape().reset()
-        with pytest.raises(InfeasibleAlignmentError):
-            TR.train_run(tiny_cfg(tmp_path, str(tmp_path / "train.tsv"), batch_size=1))
-        assert len(T.active_tape()) == 0
+        narrow = str(tmp_path / "narrow.tsv")
+        built, steps = [], []
+        monkeypatch.setattr(TR, "build_model", lambda *a: built.append(a))
+        monkeypatch.setattr(TR.AdamW, "step", lambda opt: steps.append(opt.t))
+        cfg = (tiny_cfg(tmp_path, narrow) if split == "train" else
+               tiny_cfg(tmp_path, tiny_dataset, synth_manifest=narrow, synth_mix=0.5))
+        with pytest.raises(InfeasibleAlignmentError, match=rf"{split}:0 .*2 frames.*needs 26"):
+            TR.train_run(cfg)
+        assert built == [] and steps == []
 
     @pytest.mark.parametrize("kind,key,size", [
         ("mamba-ar", "model.max_len", {"max_len": 3}),
