@@ -8,6 +8,7 @@ decoding head consumes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,8 @@ class InputError(ValueError):
 
 
 KERNEL = 3  # square conv kernel of every stage
+HALO = KERNEL // 2  # rows a stage's conv reads above and below an output row
+STRIP_ELEMS = 1 << 18  # conv-output entries per eval row strip: 1 MiB of f32
 
 
 def prepare_image(img: np.ndarray, min_h: int, min_w: int) -> np.ndarray:
@@ -93,7 +96,11 @@ class ConvEncoder:
             c_in = c_out
 
     def forward(self, image: np.ndarray) -> FeatureGrid:
-        """Encode a prepared [0,1] grayscale image into a feature grid."""
+        """Encode a prepared [0,1] grayscale image into a feature grid.
+
+        Off the tape in eval mode each stage walks row strips of its
+        output, so no full-size stage map is built; a call that records
+        runs whole maps. Both give the same grid (see ``_stage``)."""
         image = np.asarray(image)
         if image.ndim != 2:
             raise InputError(f"encoder expects a 2-d image, got shape {image.shape}")
@@ -106,15 +113,47 @@ class ConvEncoder:
             )
         dt = self.stages[0]["w"].dtype
         x = Tensor(image[None, :, :], dtype=dt)
-        for s, st in enumerate(self.stages):
-            x = T.conv2d(x, st["w"], stride=1, padding=KERNEL // 2)
-            x = T.batchnorm2d(x, st["norm_g"], st["norm_b"],
+        for s in range(len(self.stages)):
+            x = self._stage(s, x)
+        return FeatureGrid(T.permute(x, (1, 2, 0)))
+
+    def _stage(self, s: int, x: Tensor) -> Tensor:
+        """Stage s over row strips of its output, written into one
+        preallocated stage output. A strip has about ``STRIP_ELEMS`` conv
+        outputs and is a whole number of pool rows and of conv2d's row
+        blocks, so no pool window straddles two strips and every GEMM has
+        the shape it has over the whole map: the strips give the whole
+        map's output bit for bit. A strip's conv reads its input rows plus
+        a ``HALO`` above and below, zero past the image edges. A call that
+        records, and every training call, runs one strip, the whole map:
+        batchnorm's statistics and the backward read whole maps."""
+        st = self.stages[s]
+        c, h, w = st["w"].shape[0], x.shape[1], x.shape[2]
+        ph, pw = st["pool"]
+        if self.training or T.records((x, st["w"], st["norm_g"], st["norm_b"])):
+            rows = h
+        else:
+            unit = math.lcm(ph, T.conv_block_rows(x.shape[0], KERNEL, KERNEL, w))
+            rows = unit * max(1, STRIP_ELEMS // (c * unit * w))
+        out = None if rows >= h else np.empty((c, -(-h // ph), -(-w // pw)), x.data.dtype)
+        for r in range(0, h, rows):
+            if out is None:
+                xs, pad = x, HALO
+            else:
+                end = min(r + rows, h)
+                lo, hi = max(r - HALO, 0), min(end + HALO, h)
+                rim = ((0, 0), (lo - r + HALO, end + HALO - hi), (0, 0))
+                xs, pad = Tensor(np.pad(x.data[:, lo:hi], rim)), (0, HALO)
+            y = T.conv2d(xs, st["w"], stride=1, padding=pad)
+            y = T.batchnorm2d(y, st["norm_g"], st["norm_b"],
                               self.buffers_[f"stage{s}.running_mean"],
                               self.buffers_[f"stage{s}.running_var"],
                               training=self.training)
-            x = T.silu(x)
-            x = T.maxpool2d(x, st["pool"])
-        return FeatureGrid(T.permute(x, (1, 2, 0)))
+            y = T.maxpool2d(T.silu(y), st["pool"])
+            if out is None:
+                return y
+            out[:, r // ph : r // ph + y.shape[1]] = y.data
+        return Tensor(out)
 
     def params(self) -> dict[str, Tensor]:
         out = {}

@@ -78,9 +78,10 @@ def _scan_parallel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return bv
 
 
-def _series_entries(a: np.ndarray, delta: np.ndarray, da: np.ndarray):
+def _series_entries(a: np.ndarray, delta: np.ndarray, da: np.ndarray, work=None):
     """Mask of the entries of da = delta[..., None] * a with
-    |da| < ZOH_SERIES_CUTOFF, or None when no entry is that small.
+    |da| < ZOH_SERIES_CUTOFF, or None when no entry is that small; |da|
+    goes to ``work`` (a free da-shaped buffer) when one is given.
 
     The mask is only built when some entry needs it. One row (I,) first
     tests min |da|, one abs and one reduction. For delta (L, I) the test
@@ -96,7 +97,7 @@ def _series_entries(a: np.ndarray, delta: np.ndarray, da: np.ndarray):
         d_lo = np.abs(delta).min(axis=0)
         if not (d_lo[:, None] * np.abs(a) < ZOH_SERIES_CUTOFF).any():
             return None
-    small = np.abs(da) < ZOH_SERIES_CUTOFF
+    small = np.abs(da, out=work) < ZOH_SERIES_CUTOFF
     return small if small.any() else None
 
 
@@ -117,14 +118,15 @@ def _zoh_np(a: np.ndarray, delta: np.ndarray, a_bar: np.ndarray, r: np.ndarray):
     ``_block_rows(a.size)``, so the temporaries stay cache-resident.
     """
     da = np.multiply(delta[..., None], a, out=a_bar)
-    small = _series_entries(a, delta, da)
-    series = None if small is None else (delta[..., None] * (1.0 + 0.5 * da))[small]
+    small = _series_entries(a, delta, da, work=r)
+    if small is not None:  # the series on the masked entries alone
+        series = np.broadcast_to(delta[..., None], da.shape)[small] * (1.0 + 0.5 * da[small])
     np.exp(da, out=a_bar)
     np.subtract(a_bar, 1.0, out=r)
     if small is None:
         r /= a
     else:
-        r /= np.where(small, 1.0, a)
+        np.divide(r, a, out=r, where=~small)
         r[small] = series
     return small
 
@@ -182,6 +184,7 @@ def discretize_zoh(a: Tensor, delta: Tensor, b: Tensor):
             if small is None:
                 small = np.zeros(a_bar.shape, dtype=bool)
             small[blk] = blk_small
+        del blk_small  # an unkept mask dies with its block
 
     def bwd(ga_bar, gb_bar):
         p = gb_bar * bd[:, None, :]

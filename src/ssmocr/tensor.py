@@ -436,6 +436,11 @@ def _pair(v) -> tuple[int, int]:
     return (int(a), int(b))
 
 
+def conv_block_rows(c: int, kh: int, kw: int, wo: int) -> int:
+    """Output rows per conv2d row block, the rows of one im2col GEMM."""
+    return max(1, CONV_BLOCK_ELEMS // (c * kh * kw * wo))
+
+
 def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
            stride=1, padding=0) -> Tensor:
     """Cross-correlation of (C, H, W) with kernels (O, C, kh, kw),
@@ -468,7 +473,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     # im2col one block of output rows at a time, each GEMM into its slice
     out = np.empty((o, ho, wo), dtype=x.data.dtype)
     flat, wmat = out.reshape(o, -1), w.data.reshape(o, -1)
-    rows = max(1, CONV_BLOCK_ELEMS // (c * kh * kw * wo))
+    rows = conv_block_rows(c, kh, kw, wo)
     for r in range(0, ho, rows):
         cols = win[:, :, :, r : r + rows].reshape(c * kh * kw, -1)
         np.matmul(wmat, cols, out=flat[:, r * wo : (r + rows) * wo])
@@ -506,6 +511,13 @@ def maxpool2d(x: Tensor, window) -> Tensor:
     a ragged edge it covers fewer windows, so nothing is padded or copied.
     The forward folds the ph*pw views with np.maximum; the backward builds
     one first-hit mask per cell and writes the gradient through its view.
+
+    A zero max takes the sign of its window's first equal cell. That
+    fix-up can change a bit only where a window holds a -0.0, so it runs
+    only when some max is zero and x holds a -0.0: without one, every zero
+    max is already +0.0. -0.0 is the one float whose bits, read as a
+    signed integer of its width, are that integer type's minimum, so one
+    integer reduction finds it exactly.
     """
     ph, pw = _pair(window)
     if ph < 1 or pw < 1:
@@ -520,7 +532,8 @@ def maxpool2d(x: Tensor, window) -> Tensor:
     out = xd[cells[0][1]].copy()
     for o, s in cells[1:]:
         np.maximum(out[o], xd[s], out=out[o])
-    if not out.all():  # a zero max takes the sign of its first equal cell
+    bits = np.dtype(f"i{xd.itemsize}")
+    if not out.all() and np.minimum.reduce(xd.view(bits), axis=None) == np.iinfo(bits).min:
         for o, s in reversed(cells):
             np.copyto(out[o], xd[s], where=xd[s] == out[o])
 

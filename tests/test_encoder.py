@@ -8,6 +8,7 @@ from ssmocr.config import PRESET_OVERRIDES
 from ssmocr import pgm
 from ssmocr import tensor as T
 from ssmocr.tensor import Tensor
+from memtrace import traced_bytes
 
 
 PAPER_POOLING = PRESET_OVERRIDES["paper"]["enc_pooling"]
@@ -67,6 +68,144 @@ class TestShapes:
         a = enc.forward(img).grid.data.tobytes()
         b = enc.forward(img).grid.data.tobytes()
         assert a == b
+
+
+def whole_map_forward(enc, image):
+    """The five stages over whole maps, each op once per stage: the
+    reference every strip walk must equal."""
+    x = Tensor(image[None, :, :], dtype=enc.stages[0]["w"].dtype)
+    for s, st in enumerate(enc.stages):
+        x = T.conv2d(x, st["w"], stride=1, padding=1)
+        x = T.batchnorm2d(x, st["norm_g"], st["norm_b"],
+                          enc.buffers_[f"stage{s}.running_mean"],
+                          enc.buffers_[f"stage{s}.running_var"], training=enc.training)
+        x = T.maxpool2d(T.silu(x), st["pool"])
+    return T.permute(x, (1, 2, 0))
+
+
+def eval_encoder(dtype, seed=3):
+    """make_encoder's shape in eval mode, with nonzero running statistics
+    and batchnorm gains and shifts away from 1 and 0."""
+    enc = E.ConvEncoder(16, (4, 4, 8, 8), PAPER_POOLING, rng=np.random.default_rng(seed),
+                        dtype=dtype)
+    rng = np.random.default_rng(seed + 1)
+    for name, buf in enc.buffers_.items():
+        buf[...] = (rng.normal(0.0, 0.3, buf.shape) if name.endswith("mean")
+                    else rng.uniform(0.5, 2.0, buf.shape))
+    for st in enc.stages:
+        st["norm_g"].data[...] = rng.uniform(0.5, 1.5, st["norm_g"].shape)
+        st["norm_b"].data[...] = rng.normal(0.0, 0.2, st["norm_b"].shape)
+    enc.training = False
+    return enc
+
+
+def ink_image(h, w, seed=0):
+    """Random gray with exact-zero (black ink) and exact-one pixels."""
+    rng = np.random.default_rng(seed)
+    img = rng.random((h, w))
+    img[rng.random((h, w)) < 0.2] = 0.0
+    img[rng.random((h, w)) < 0.2] = 1.0
+    return img.astype(np.float32)
+
+
+def count_convs(monkeypatch, enc):
+    """Spy on T.conv2d: returns a list that gets one stage index per call."""
+    stage_of = {id(st["w"]): s for s, st in enumerate(enc.stages)}
+    calls, conv2d = [], T.conv2d
+
+    def spy(x, w, *args, **kw):
+        calls.append(stage_of[id(w)])
+        return conv2d(x, w, *args, **kw)
+
+    monkeypatch.setattr(T, "conv2d", spy)
+    return calls
+
+
+def cos_weighted_sum(t):
+    return T.sum_all(T.mul(t, Tensor(np.cos(np.arange(t.size)).reshape(t.shape))))
+
+
+class TestEvalStrips:
+    """Off the tape in eval mode each stage walks row strips of its
+    output; the grid equals the whole-map stages bit for bit."""
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("h,w,conv_elems,strip_elems,stage0_strips", [
+        (64, 80, 1, 1 << 30, 1),          # one strip: the whole map
+        (64, 80, 1, 4 * 32 * 80, 2),      # two strips of 32 rows
+        (64, 80, 1, 1, 32),               # every strip one pool row
+        (64, 80, 3 * 9 * 80, 1, 11),      # 3-row GEMM blocks: 6-row strips
+        (70, 90, 1, 4 * 8 * 90, 9),       # 70 rows: the last strip has 6
+        (69, 90, 1, 4 * 8 * 90, 9),       # odd height: a ragged pool row
+        (32, 8, 1, 1, 16),                # the smallest image the pooling allows
+        (64, 80, 1 << 18, 1 << 18, 1),    # the shipped sizes: whole maps here
+    ])
+    def test_strips_equal_the_whole_map_bitwise(self, monkeypatch, dtype, h, w,
+                                                conv_elems, strip_elems, stage0_strips):
+        enc = eval_encoder(dtype)
+        assert enc.min_size == (32, 8)
+        img = ink_image(h, w, seed=h + w)
+        monkeypatch.setattr(T, "CONV_BLOCK_ELEMS", conv_elems)
+        with T.no_grad():
+            expect = whole_map_forward(enc, img).data
+            monkeypatch.setattr(E, "STRIP_ELEMS", strip_elems)
+            calls = count_convs(monkeypatch, enc)
+            got = enc.forward(img).grid.data
+        assert calls.count(0) == stage0_strips
+        assert got.dtype == expect.dtype and got.shape == expect.shape
+        assert got.tobytes() == expect.tobytes()
+
+    def test_recorded_eval_forward_runs_whole_maps_and_its_backward(self, monkeypatch):
+        enc = eval_encoder("f64")
+        img = ink_image(40, 48, seed=7).astype(np.float64)
+        monkeypatch.setattr(T, "CONV_BLOCK_ELEMS", 1)
+        monkeypatch.setattr(E, "STRIP_ELEMS", 1)  # strips would be one pool row
+        calls = count_convs(monkeypatch, enc)
+        grid = enc.forward(img).grid
+        assert calls == [0, 1, 2, 3, 4] and grid.node is not None
+        T.backward(cos_weighted_sum(grid))
+        grads = {k: p.grad.copy() for k, p in enc.params().items()}
+        for p in enc.params().values():
+            p.grad = None
+        ref = whole_map_forward(enc, img)
+        assert grid.data.tobytes() == ref.data.tobytes()
+        T.backward(cos_weighted_sum(ref))
+        for k, p in enc.params().items():
+            assert p.grad.tobytes() == grads[k].tobytes(), k
+
+    def test_training_runs_whole_maps_even_off_the_tape(self, monkeypatch):
+        enc = eval_encoder("f32")
+        enc.training = True
+        img = ink_image(40, 48, seed=8)
+        before = {k: v.copy() for k, v in enc.buffers_.items()}
+        monkeypatch.setattr(T, "CONV_BLOCK_ELEMS", 1)
+        monkeypatch.setattr(E, "STRIP_ELEMS", 1)
+        calls = count_convs(monkeypatch, enc)
+        with T.no_grad():
+            got = enc.forward(img).grid.data
+            assert calls == [0, 1, 2, 3, 4]
+            after = {k: v.copy() for k, v in enc.buffers_.items()}
+            for k, v in before.items():
+                enc.buffers_[k][...] = v
+            expect = whole_map_forward(enc, img).data
+        assert got.tobytes() == expect.tobytes()
+        for k, v in enc.buffers_.items():
+            assert after[k].tobytes() == v.tobytes(), k
+
+    def test_paragraph_peak_stays_below_16_mib(self):
+        # decode-mixed's 6 x 100-character paragraph is 168 x 1,809 px;
+        # whole maps peaked at 41.7 MiB, a stage-0 map alone being 18.5
+        from ssmocr.config import RunConfig
+
+        cfg = RunConfig()
+        enc = E.ConvEncoder(cfg.d_model, cfg.enc_channels, cfg.enc_pooling,
+                            rng=np.random.default_rng(5))
+        enc.training = False
+        img = ink_image(168, 1809, seed=1)
+        with T.no_grad():
+            grid, peak, _ = traced_bytes(lambda: enc.forward(img))
+        assert grid.grid.shape == (6, 227, cfg.d_model)
+        assert peak < 16 * 2**20
 
 
 class TestFrameCount:

@@ -1,7 +1,10 @@
 """Source guards: every random generator the library builds is seeded, so
-weights and reruns stay reproducible (acceptance criterion 10)."""
+weights and reruns stay reproducible (acceptance criterion 10), and the
+library imports no third-party module beyond a named set."""
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,3 +47,43 @@ def test_library_builds_no_unseeded_generator():
     found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
              for line in unseeded_generators(path.read_text(encoding="utf-8"))]
     assert found == []
+
+
+# a new runtime dependency fails here by name; dropping scipy shrinks the set
+RUNTIME_DEPENDENCIES = {"numpy", "scipy.special", "scipy.ndimage"}
+
+
+def third_party_imports(source: str) -> set[str]:
+    """Modules outside the standard library and ssmocr that a source
+    imports: ``import a.b`` gives a.b, and ``from a import b`` gives a.b
+    when that is a module, else a."""
+    local = set(sys.stdlib_module_names) | {"ssmocr"}
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name for a in node.names if a.name.split(".")[0] not in local)
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+              and node.module.split(".")[0] not in local):
+            for a in node.names:
+                sub = f"{node.module}.{a.name}"
+                found.add(sub if importlib.util.find_spec(sub) else node.module)
+    return found
+
+
+@pytest.mark.parametrize("source,found", [
+    ("import numpy as np", {"numpy"}),
+    ("from scipy.special import erf", {"scipy.special"}),
+    ("from scipy import ndimage", {"scipy.ndimage"}),
+    ("import os.path, json\nfrom dataclasses import dataclass", set()),
+    ("from . import tensor as T\nfrom .config import RunConfig", set()),
+    ("def f():\n    import scipy.signal", {"scipy.signal"}),
+])
+def test_import_detector(source, found):
+    assert third_party_imports(source) == found
+
+
+def test_library_imports_only_its_runtime_dependencies():
+    imported = set()
+    for path in sorted(SRC.glob("*.py")):
+        imported |= third_party_imports(path.read_text(encoding="utf-8"))
+    assert imported == RUNTIME_DEPENDENCIES

@@ -460,12 +460,20 @@ class TestUnrecordedChain:
         assert peak < a_bar.data.nbytes
 
     def test_zoh_peak_stays_below_three_state_arrays(self):
-        # its two (L, I, N) outputs plus row blocks; a block on the series
-        # branch adds block-sized temporaries, so no row takes it here
+        # its two (L, I, N) outputs plus row blocks (2.56 arrays here)
         a, delta, b, *_ = chain_inputs(3 * DESK_ROWS + 7, "f32", series=False)
         with T.no_grad():
             (a_bar, _), peak, _ = traced_bytes(lambda: ssm.discretize_zoh(a, delta, b))
         assert peak < 3 * a_bar.data.nbytes
+
+    def test_zoh_peak_with_series_rows_stays_within_2_6_state_arrays(self):
+        # three whole rows on the series branch: the series is evaluated on
+        # the masked entries alone and |da| goes to the r block, so a series
+        # block adds only masks (block-sized temporaries read 3.13 arrays)
+        a, delta, b, *_ = chain_inputs(3 * DESK_ROWS + 7, "f32", series=True)
+        with T.no_grad():
+            (a_bar, _), peak, _ = traced_bytes(lambda: ssm.discretize_zoh(a, delta, b))
+        assert peak <= 2.6 * a_bar.data.nbytes
 
 
 class TestMambaBlock:

@@ -194,6 +194,23 @@ def maxpool_oracle(x, window, g):
     return out, gx
 
 
+def pool_fixup_oracle(x, window):
+    """Max-pool forward with the signed-zero fix-up run unconditionally:
+    fold the cell views with np.maximum, then every zero max takes the
+    sign of its window's first equal cell."""
+    ph, pw = window
+    _, h, w = x.shape
+    cells = [(np.s_[:, : -(-(h - u) // ph), : -(-(w - v) // pw)], np.s_[:, u::ph, v::pw])
+             for u in range(ph) for v in range(pw)]
+    out = x[cells[0][1]].copy()
+    for o, s in cells[1:]:
+        np.maximum(out[o], x[s], out=out[o])
+    if not out.all():
+        for o, s in reversed(cells):
+            np.copyto(out[o], x[s], where=x[s] == out[o])
+    return out
+
+
 POOL_INPUTS = {
     "random": lambda rng, shape: rng.standard_normal(shape),
     "integer_ties": lambda rng, shape: rng.integers(-2, 3, shape) * 1.0,
@@ -223,6 +240,31 @@ class TestMaxpool:
             assert out.data.dtype == dtype and xt.grad.dtype == dtype
             assert out.data.tobytes() == expect_out.tobytes()
             assert xt.grad.tobytes() == expect_gx.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("negative_zero", [False, True])
+    @pytest.mark.parametrize("contiguous", [True, False])
+    def test_gated_zero_sign_fixup_equals_the_unconditional_one(
+            self, dtype, negative_zero, contiguous):
+        # tie-heavy draws on ragged shapes under every window up to 3x3
+        rng = np.random.default_rng([int(negative_zero), int(contiguous), dtype().itemsize])
+        values = [0.0, -0.0, 1.0, -1.0, 2.0] if negative_zero else [0.0, 1.0, -1.0, 2.0]
+        for trial in range(40):
+            c, h, w = (int(v) for v in rng.integers(1, 8, 3))
+            if contiguous:
+                x = rng.choice(values, (c, h, w)).astype(dtype)
+            else:
+                x = rng.choice(values, (c, 2 * h, w + 1)).astype(dtype)[:, ::2, 1:]
+            if negative_zero:
+                x[rng.integers(c), rng.integers(h), rng.integers(w)] = -0.0
+            t = T.Tensor(x)
+            t.data = x  # keep the strided view
+            for window in [(ph, pw) for ph in (1, 2, 3) for pw in (1, 2, 3)]:
+                got = T.maxpool2d(t, window).data
+                expect = pool_fixup_oracle(x, window)
+                assert got.dtype == dtype
+                assert got.tobytes() == expect.tobytes(), (trial, window)
+                assert np.array_equal(np.signbit(got), np.signbit(expect))
 
     def test_constant_invariance(self):
         x = np.full((2, 4, 6), 3.5)
