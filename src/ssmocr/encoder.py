@@ -126,7 +126,9 @@ class ConvEncoder:
         map's output bit for bit. A strip's conv reads its input rows plus
         a ``HALO`` above and below, zero past the image edges. A call that
         records, and every training call, runs one strip, the whole map:
-        batchnorm's statistics and the backward read whole maps."""
+        batchnorm's statistics and the backward read whole maps. Halos
+        and the assembled output hold op outputs (or the checked image)
+        only, so they are wrapped without a second finite check."""
         st = self.stages[s]
         c, h, w = st["w"].shape[0], x.shape[1], x.shape[2]
         ph, pw = st["pool"]
@@ -143,7 +145,7 @@ class ConvEncoder:
                 end = min(r + rows, h)
                 lo, hi = max(r - HALO, 0), min(end + HALO, h)
                 rim = ((0, 0), (lo - r + HALO, end + HALO - hi), (0, 0))
-                xs, pad = Tensor(np.pad(x.data[:, lo:hi], rim)), (0, HALO)
+                xs, pad = T.wrap_checked(np.pad(x.data[:, lo:hi], rim)), (0, HALO)
             y = T.conv2d(xs, st["w"], stride=1, padding=pad)
             y = T.batchnorm2d(y, st["norm_g"], st["norm_b"],
                               self.buffers_[f"stage{s}.running_mean"],
@@ -153,7 +155,7 @@ class ConvEncoder:
             if out is None:
                 return y
             out[:, r // ph : r // ph + y.shape[1]] = y.data
-        return Tensor(out)
+        return T.wrap_checked(out)
 
     def params(self) -> dict[str, Tensor]:
         out = {}

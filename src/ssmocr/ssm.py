@@ -6,12 +6,14 @@ the production path on a CPU (tape forward, adjoint and prefill); the
 log-depth doubling scan, O(L log L) work, is kept only as its cross-check.
 Discretisation walks the sequence in row blocks whose (rows, I, N)
 temporaries fit in cache. Off the tape the scan and its readout walk the
-same row blocks (``_scan_block``), so no (L, I, N) state is built; the
-generation prefill and unrecorded MambaLayer forwards build none at all.
+same row blocks (``_scan_block``), so no (L, I, N) state is built.
 The MambaBlock wraps the scan in the canonical gated block (in-projection,
 depthwise causal conv, SiLU, skip gain), and the BiMambaConnector runs one
-shared block over both temporal directions with additive fusion; the
-connector's block stays on the three-op tape chain, recorded or not.
+shared block over both temporal directions with additive fusion. Off the
+tape the block's ZOH -> b_bar * u -> scan chain runs one row block at a
+time, the scan state carried between blocks, so no (L, I, N) array is
+built at inference: the connector runs the three tape ops per block, the
+generation prefill and unrecorded MambaLayer forwards run ``forward_np``.
 """
 
 from __future__ import annotations
@@ -215,14 +217,19 @@ def discretize_zoh(a: Tensor, delta: Tensor, b: Tensor):
 
 def selective_scan(a_bar: Tensor, b_bar_x: Tensor, c: Tensor,
                    d_skip: Tensor | None = None, x: Tensor | None = None,
-                   mode: str = "sequential") -> Tensor:
+                   mode: str = "sequential", state: np.ndarray | None = None) -> Tensor:
     """y_t[i] = sum_n c_t[n] * h_t[i, n] (+ d_skip[i] * x_t[i]) where
-    h_t = a_bar_t * h_(t-1) + b_bar_x_t, h_0 = 0.
+    h_t = a_bar_t * h_(t-1) + b_bar_x_t, h_(-1) = 0.
 
     a_bar, b_bar_x: (L, I, N); c: (L, N). L = 0 is valid. The default
     sequential recurrence is the production path; mode="parallel" runs the
     doubling scan as its cross-check. Both share one reverse-time adjoint.
     Off the tape the sequential scan walks row blocks and keeps no h.
+
+    ``state``, an (I, N) array, is read as h_(-1) and overwritten with the
+    final state, so consecutive calls on row slices of a sequence give the
+    whole sequence's y bit for bit. Only an unrecorded sequential scan
+    takes it: the adjoint assumes h_(-1) = 0.
     """
     ad, bd, cd = a_bar.data, b_bar_x.data, c.data
     if ad.shape != bd.shape or ad.ndim != 3:
@@ -234,13 +241,23 @@ def selective_scan(a_bar: Tensor, b_bar_x: Tensor, c: Tensor,
     if mode not in ("sequential", "parallel"):
         raise ValueError(f"unknown scan mode {mode!r}")
     inputs = [a_bar, b_bar_x, c] + ([] if d_skip is None else [d_skip, x])
-    if mode == "sequential" and not T.records(inputs):  # no backward reads h
+    recording = T.records(inputs)
+    if state is not None:
+        if mode != "sequential" or recording:
+            raise ValueError("selective_scan: state= needs an unrecorded sequential scan")
+        if state.shape != ad.shape[1:]:
+            raise T.ShapeError(f"selective_scan: state {state.shape} does not fit {a_bar.shape}")
+    if mode == "sequential" and not recording:  # no backward reads h
         length, rows = ad.shape[0], _block_rows(ad.shape[1] * ad.shape[2])
         h = np.zeros((min(rows, length) + 1,) + ad.shape[1:], dtype=bd.dtype)
+        if state is not None:
+            h[0] = state
         y = np.empty(ad.shape[:2], dtype=np.result_type(bd, cd))
         for s in range(0, length, rows):
             blk = slice(s, s + rows)
             _scan_block(ad[blk], bd[blk], cd[blk], h, y[blk])
+        if state is not None:
+            state[...] = h[0]
     else:
         h = (_scan_sequential if mode == "sequential" else _scan_parallel)(ad, bd)
         y = (h @ cd[:, :, None])[:, :, 0]
@@ -266,6 +283,12 @@ def selective_scan(a_bar: Tensor, b_bar_x: Tensor, c: Tensor,
         return tuple(grads)
 
     return T.custom_op("selective_scan", np.ascontiguousarray(y), tuple(inputs), bwd)
+
+
+def _zoh_scan(a, delta, b, c, u, d_skip, state=None) -> Tensor:
+    """The block's three-op chain over the rows of delta, b, c and u."""
+    a_bar, b_bar = discretize_zoh(a, delta, b)
+    return selective_scan(a_bar, T.mul_rowbcast(b_bar, u), c, d_skip, u, state=state)
 
 
 def causal_conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -376,14 +399,33 @@ class MambaBlock:
         self.b_out = T.const_param(d_model, 0.0, dtype)
 
     def forward(self, x: Tensor) -> Tensor:
+        """Tape forward. The ZOH -> b_bar * u -> scan chain runs once over
+        the whole sequence when it records; off the tape it runs one row
+        block of ``_block_rows(I * N)`` rows at a time, the ZOH's own,
+        carrying the scan state into the next block and writing one (L, I)
+        y, so no (L, I, N) array is built. Both give y bit for bit: the ZOH
+        and b_bar * u are elementwise, the scan is sequential and each
+        row's readout is the same batched gemv."""
         i = self.d_inner
         xz = T.linear(x, self.w_in, self.b_in)
         main = T.narrow(xz, 1, 0, i)
         gate = T.narrow(xz, 1, i, i)
         u = T.silu(causal_conv1d(main, self.conv_w, self.conv_b))
         b, c, delta = self.ssm.project(u)
-        a_bar, b_bar = discretize_zoh(self.ssm.a(), delta, b)
-        y = selective_scan(a_bar, T.mul_rowbcast(b_bar, u), c, self.ssm.d_skip, u)
+        a, d_skip = self.ssm.a(), self.ssm.d_skip
+        chain = (a, delta, b, c, u, d_skip)
+        length = x.shape[0]
+        rows = length if T.records(chain) else _block_rows(a.size)
+        if rows >= length:  # one block, the whole sequence
+            y = _zoh_scan(*chain)
+        else:
+            dt = np.result_type(*(t.data for t in chain))
+            y, state = np.empty(u.shape, dtype=dt), np.zeros(a.shape, dtype=dt)
+            for s in range(0, length, rows):
+                blk = slice(s, s + rows)
+                part = (T.wrap_checked(t.data[blk]) for t in (delta, b, c, u))
+                y[blk] = _zoh_scan(a, *part, d_skip, state=state).data
+            y = T.wrap_checked(y)
         return T.linear(T.mul(y, T.silu(gate)), self.w_out, self.b_out)
 
     # -- recurrent inference path (numpy, no tape) --

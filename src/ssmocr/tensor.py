@@ -156,7 +156,10 @@ def no_grad():
         _grad_enabled = prev
 
 
-def _wrap(data: np.ndarray) -> Tensor:
+def wrap_checked(data: np.ndarray) -> Tensor:
+    """An untracked Tensor over data whose every entry an op output has
+    already passed through ``check_finite``: slices and assemblies of op
+    outputs are not checked a second time."""
     out = Tensor.__new__(Tensor)
     out.data = data
     out.requires_grad = False
@@ -179,7 +182,7 @@ def custom_op(op: str, data: np.ndarray, inputs, backward) -> Tensor:
     """Record a single-output op. ``backward(grad_out)`` returns one
     gradient array (or None) per input, in order."""
     check_finite(data, op)
-    out = _wrap(data)
+    out = wrap_checked(data)
     if records(inputs):
         node = Node(op, tuple(inputs), (out,), backward)
         out.node = node
@@ -193,7 +196,7 @@ def custom_op_multi(op: str, datas, inputs, backward) -> tuple[Tensor, ...]:
     outs = []
     for data in datas:
         check_finite(data, op)
-        outs.append(_wrap(data))
+        outs.append(wrap_checked(data))
     if records(inputs):
         node = Node(op, tuple(inputs), tuple(outs), backward)
         for o in outs:

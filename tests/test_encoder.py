@@ -192,6 +192,22 @@ class TestEvalStrips:
         for k, v in enc.buffers_.items():
             assert after[k].tobytes() == v.tobytes(), k
 
+    @pytest.mark.parametrize("stage,param", [(0, "w"), (2, "w"), (3, "norm_g")])
+    def test_nan_weight_raises_from_its_op_on_the_strip_path(self, monkeypatch,
+                                                             stage, param):
+        # halos and stage outputs are not re-checked: the op that first
+        # sees the NaN names it
+        enc = eval_encoder("f32")
+        enc.stages[stage][param].data[0, ...] = np.nan
+        monkeypatch.setattr(T, "CONV_BLOCK_ELEMS", 1)
+        monkeypatch.setattr(E, "STRIP_ELEMS", 1)  # 32 stage-0 strips
+        calls = count_convs(monkeypatch, enc)
+        op = "conv2d" if param == "w" else "batchnorm2d"
+        with T.no_grad(), pytest.raises(T.NonFiniteError, match=f"^{op}:"):
+            enc.forward(ink_image(64, 80, seed=2))
+        assert calls[-1] == stage and calls.count(stage) == 1  # its first strip
+        assert calls.count(0) == (1 if stage == 0 else 32)
+
     def test_paragraph_peak_stays_below_16_mib(self):
         # decode-mixed's 6 x 100-character paragraph is 168 x 1,809 px;
         # whole maps peaked at 41.7 MiB, a stage-0 map alone being 18.5

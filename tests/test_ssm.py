@@ -476,6 +476,79 @@ class TestUnrecordedChain:
         assert peak <= 2.6 * a_bar.data.nbytes
 
 
+
+def unrecorded_chain(L, dtype, skip=True):
+    """(a_bar, b_bar * u, c[, d_skip, u]) at desk widths, off the tape."""
+    a, delta, b, c, u, d_skip = chain_inputs(L, dtype)
+    with T.no_grad():
+        a_bar, b_bar = ssm.discretize_zoh(a, delta, b)
+        bx = T.mul_rowbcast(b_bar, u)
+    return [a_bar, bx, c] + ([d_skip, u] if skip else [])
+
+
+def rows_of(t, blk):
+    return t if t.data.ndim == 1 else Tensor(t.data[blk])
+
+
+class TestScanState:
+    """``selective_scan(state=)`` reads h_(-1) from state and leaves the
+    final state there, so a sequence scanned in row blocks is one scan."""
+
+    @across_row_blocks
+    @pytest.mark.parametrize("skip", [False, True])
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_split_at_row_blocks_equals_one_call_bitwise(self, blocks, extra_rows,
+                                                         skip, dtype):
+        L = blocks * DESK_ROWS + extra_rows
+        args = unrecorded_chain(L, dtype, skip)
+        whole = ssm.selective_scan(*args).data
+        state = np.zeros((128, 16), dtype=args[1].data.dtype)
+        parts = []
+        for s in range(0, L, DESK_ROWS):
+            blk = slice(s, s + DESK_ROWS)
+            parts.append(ssm.selective_scan(*(rows_of(t, blk) for t in args),
+                                            state=state).data)
+        split = np.concatenate(parts) if parts else np.zeros_like(whole)
+        assert split.dtype == whole.dtype and split.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_zero_state_is_no_state(self, dtype):
+        args = unrecorded_chain(2 * DESK_ROWS + 5, dtype)
+        state = np.zeros((128, 16), dtype=args[1].data.dtype)
+        got = ssm.selective_scan(*args, state=state).data
+        assert got.tobytes() == ssm.selective_scan(*args).data.tobytes()
+        assert np.any(state != 0.0)
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_final_state_is_the_prefill_state_bitwise(self, dtype):
+        blk = make_block(7, d=64, n=16, dtype=dtype)
+        L, i = 3 * DESK_ROWS + 7, blk.d_inner
+        x = np.random.default_rng(7).standard_normal((L, 64)).astype(blk.w_in.data.dtype)
+        _, prefill = blk.forward_np(x)
+        xz = x @ blk.w_in.data + blk.b_in.data
+        u = ssm._silu_np(ssm._causal_conv_np(xz[:, :i], blk.conv_w.data, blk.conv_b.data)[0])
+        b, c, delta = blk.ssm._project_np(u)
+        a, u = Tensor(-np.exp(blk.ssm.a_log.data)), Tensor(u)
+        state = np.zeros_like(prefill.h)
+        with T.no_grad():
+            a_bar, b_bar = ssm.discretize_zoh(a, Tensor(delta), Tensor(b))
+            ssm.selective_scan(a_bar, T.mul_rowbcast(b_bar, u), Tensor(c),
+                               blk.ssm.d_skip, u, state=state)
+        assert state.tobytes() == prefill.h.tobytes()
+
+    def test_recording_or_parallel_scan_refuses_a_state(self):
+        args = unrecorded_chain(9, "f64")
+        state = np.zeros((128, 16))
+        with pytest.raises(ValueError, match="state"):
+            ssm.selective_scan(*recorded(args), state=state)
+        assert len(T.active_tape()) == 0
+        with T.no_grad(), pytest.raises(ValueError, match="state"):
+            ssm.selective_scan(*args, mode="parallel", state=state)
+        with pytest.raises(T.ShapeError):
+            ssm.selective_scan(*args, state=np.zeros((16, 128)))
+        assert not state.any()
+
+
 class TestMambaBlock:
     def test_causality_bit_exact(self):
         for seed in range(10):
@@ -612,6 +685,62 @@ class TestBiMambaConnector:
         x = Tensor(rng.standard_normal((3, 3)), dtype="f64", requires_grad=True)
         params = [x] + list(conn.params().values())
         check_grads(lambda: T.sum_all(T.gelu(conn.forward(x))), params)
+
+
+    @across_row_blocks
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_unrecorded_forward_is_the_tape_forward_bitwise(self, monkeypatch, blocks,
+                                                            extra_rows, dtype):
+        # desk widths (I*N = 128*16). Settings as in TestMambaLayer's twin:
+        # a zero window of inputs to a direction puts its row on the ZOH
+        # series branch, here mid-block and on a block's first row
+        conn = make_connector(5, d=64, n=16, dtype=dtype)
+        blk = conn.block
+        rows = ssm._block_rows(blk.d_inner * blk.n_state)
+        L = blocks * rows + extra_rows
+        blk.ssm.dt_bias.data[...] = -30.0
+        blk.ssm.w_dt.data[...] = 100.0
+        x = np.random.default_rng(50 + L).standard_normal((L, 64))
+        series_rows = [t for t in (rows // 2, rows, 2 * rows + 3) if t < L]
+        for t in series_rows:  # zero x gives zero block input at init
+            x[t - ssm.CONV_WIDTH + 1 : t + 1] = 0.0  # forward direction
+            x[L - 1 - t : L - 1 - t + ssm.CONV_WIDTH] = 0.0  # flipped direction
+        xt = Tensor(x, dtype=dtype)
+
+        calls = {"zoh": 0, "rowbcast": 0, "scan": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ssm, "discretize_zoh", counted("zoh", ssm.discretize_zoh))
+        monkeypatch.setattr(T, "mul_rowbcast", counted("rowbcast", T.mul_rowbcast))
+        monkeypatch.setattr(ssm, "selective_scan", counted("scan", ssm.selective_scan))
+        taped = conn.forward(xt)
+        assert taped.node is not None
+        T.active_tape().reset()
+        assert set(calls.values()) == {2}  # one whole-sequence chain per direction
+        calls.update(dict.fromkeys(calls, 0))
+
+        zoh, seen = ssm._zoh_np, []
+
+        def spy(a, delta, a_bar, r):
+            small = zoh(a, delta, a_bar, r)
+            seen.append(np.zeros(len(delta), bool) if small is None else small.all(axis=(1, 2)))
+            return small
+
+        monkeypatch.setattr(ssm, "_zoh_np", spy)
+        with T.no_grad():
+            fast = conn.forward(xt).data
+        assert len(T.active_tape()) == 0
+        assert fast.dtype == taped.data.dtype and fast.tobytes() == taped.data.tobytes()
+        assert set(calls.values()) == {2 * max(1, -(-L // rows))}
+        series = np.concatenate(seen) if seen else np.zeros(0, bool)
+        for direction in (series[:L], series[L:]):
+            assert set(series_rows) <= set(np.flatnonzero(direction))
+            assert L < rows or not direction.all()
 
 
 class TestMambaLayer:
