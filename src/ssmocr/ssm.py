@@ -9,11 +9,15 @@ temporaries fit in cache. Off the tape the scan and its readout walk the
 same row blocks (``_scan_block``), so no (L, I, N) state is built.
 The MambaBlock wraps the scan in the canonical gated block (in-projection,
 depthwise causal conv, SiLU, skip gain), and the BiMambaConnector runs one
-shared block over both temporal directions with additive fusion. Off the
-tape the block's ZOH -> b_bar * u -> scan chain runs one row block at a
-time, the scan state carried between blocks, so no (L, I, N) array is
-built at inference: the connector runs the three tape ops per block, the
-generation prefill and unrecorded MambaLayer forwards run ``forward_np``.
+shared block over both temporal directions with additive fusion. The
+block's ZOH -> b_bar * u -> scan chain runs one row block at a time, the
+scan state carried between blocks (``_chain_blocks``). Off the tape no
+(L, I, N) array is built: the connector runs the three tape ops per
+block, the generation prefill and unrecorded MambaLayer forwards run
+``forward_np``. In training the tape keeps only each block's entering
+state and the last block's chain, and the backward reruns the earlier
+blocks through the same three ops (Mamba's recomputation, Gu & Dao,
+arXiv 2312.00752, section 3.3.2).
 """
 
 from __future__ import annotations
@@ -217,7 +221,7 @@ def discretize_zoh(a: Tensor, delta: Tensor, b: Tensor):
 
 def selective_scan(a_bar: Tensor, b_bar_x: Tensor, c: Tensor,
                    d_skip: Tensor | None = None, x: Tensor | None = None,
-                   mode: str = "sequential", state: np.ndarray | None = None) -> Tensor:
+                   mode: str = "sequential", state: Tensor | None = None):
     """y_t[i] = sum_n c_t[n] * h_t[i, n] (+ d_skip[i] * x_t[i]) where
     h_t = a_bar_t * h_(t-1) + b_bar_x_t, h_(-1) = 0.
 
@@ -226,10 +230,12 @@ def selective_scan(a_bar: Tensor, b_bar_x: Tensor, c: Tensor,
     doubling scan as its cross-check. Both share one reverse-time adjoint.
     Off the tape the sequential scan walks row blocks and keeps no h.
 
-    ``state``, an (I, N) array, is read as h_(-1) and overwritten with the
-    final state, so consecutive calls on row slices of a sequence give the
-    whole sequence's y bit for bit. Only an unrecorded sequential scan
-    takes it: the adjoint assumes h_(-1) = 0.
+    ``state``, an (I, N) Tensor, is h_(-1) of a sequential scan and an
+    input of the op; the call then returns (y, final state), and the
+    adjoint takes the final state's gradient and gives the entering
+    state's. Calls on consecutive row slices of a sequence, each given
+    the state the one before returned, give the whole sequence's y bit
+    for bit and carry the adjoint back across the slices.
     """
     ad, bd, cd = a_bar.data, b_bar_x.data, c.data
     if ad.shape != bd.shape or ad.ndim != 3:
@@ -241,54 +247,132 @@ def selective_scan(a_bar: Tensor, b_bar_x: Tensor, c: Tensor,
     if mode not in ("sequential", "parallel"):
         raise ValueError(f"unknown scan mode {mode!r}")
     inputs = [a_bar, b_bar_x, c] + ([] if d_skip is None else [d_skip, x])
-    recording = T.records(inputs)
+    h0 = None if state is None else state.data
     if state is not None:
-        if mode != "sequential" or recording:
-            raise ValueError("selective_scan: state= needs an unrecorded sequential scan")
-        if state.shape != ad.shape[1:]:
-            raise T.ShapeError(f"selective_scan: state {state.shape} does not fit {a_bar.shape}")
+        if mode != "sequential":
+            raise ValueError("selective_scan: state= needs a sequential scan")
+        if h0.shape != ad.shape[1:]:
+            raise T.ShapeError(f"selective_scan: state {h0.shape} does not fit {a_bar.shape}")
+        inputs.append(state)
+    recording = T.records(inputs)
     if mode == "sequential" and not recording:  # no backward reads h
         length, rows = ad.shape[0], _block_rows(ad.shape[1] * ad.shape[2])
         h = np.zeros((min(rows, length) + 1,) + ad.shape[1:], dtype=bd.dtype)
-        if state is not None:
-            h[0] = state
+        if h0 is not None:
+            h[0] = h0
         y = np.empty(ad.shape[:2], dtype=np.result_type(bd, cd))
         for s in range(0, length, rows):
             blk = slice(s, s + rows)
             _scan_block(ad[blk], bd[blk], cd[blk], h, y[blk])
-        if state is not None:
-            state[...] = h[0]
+        final = h[0]
     else:
-        h = (_scan_sequential if mode == "sequential" else _scan_parallel)(ad, bd)
+        h = _scan_sequential(ad, bd, h0) if mode == "sequential" else _scan_parallel(ad, bd)
         y = (h @ cd[:, :, None])[:, :, 0]
+        final = h[-1] if len(h) else h0
     if d_skip is not None:
         y = y + d_skip.data * x.data
         xd, sd = x.data, d_skip.data
 
-    def bwd(gy):
+    def bwd(gy, g_final=None):
         dc = (gy[:, None, :] @ h)[:, 0, :]
         # adjoint g_t = dh_t + a_(t+1) * g_(t+1), run backwards in place
         g = gy[:, :, None] * cd[:, None, :]
+        if g_final is not None and len(g):
+            g[-1] += g_final
         carry = np.empty(ad.shape[1:], dtype=g.dtype)
         for a_next, g_next, g_t in zip(ad[:0:-1], g[:0:-1], g[-2::-1]):
             np.multiply(a_next, g_next, out=carry)
             g_t += carry
-        # da_t = g_t * h_(t-1), with h_0 = 0
+        # da_t = g_t * h_(t-1)
         da = np.empty_like(g)
-        da[:1] = 0.0
+        da[:1] = 0.0 if h0 is None else g[:1] * h0
         np.multiply(g[1:], h[:-1], out=da[1:])
         grads = [da, g, dc]
         if d_skip is not None:
             grads += [(gy * xd).sum(axis=0), gy * sd]
+        if state is not None:
+            grads.append(ad[0] * g[0] if len(g) else g_final)
         return tuple(grads)
 
-    return T.custom_op("selective_scan", np.ascontiguousarray(y), tuple(inputs), bwd)
+    y = np.ascontiguousarray(y)
+    if state is None:
+        return T.custom_op("selective_scan", y, tuple(inputs), bwd)
+    return T.custom_op_multi("selective_scan", (y, final.copy()), tuple(inputs), bwd)
 
 
-def _zoh_scan(a, delta, b, c, u, d_skip, state=None) -> Tensor:
-    """The block's three-op chain over the rows of delta, b, c and u."""
+def _zoh_scan(a, delta, b, c, u, d_skip, state=None):
+    """The block's three-op chain over the rows of delta, b, c and u, each
+    op looked up at call time."""
     a_bar, b_bar = discretize_zoh(a, delta, b)
     return selective_scan(a_bar, T.mul_rowbcast(b_bar, u), c, d_skip, u, state=state)
+
+
+def _record_block(data, blk, h0):
+    """Record the chain over rows blk of (a, delta, b, c, u, d_skip), from
+    entering state h0, onto the active tape: its leaves (a, the four row
+    slices, d_skip, h0), its y and its final state."""
+    a, delta, b, c, u, d_skip = data
+    leaves = [T.wrap_checked(v, requires_grad=True)
+              for v in (a, delta[blk], b[blk], c[blk], u[blk], d_skip, h0)]
+    return (leaves, *_zoh_scan(*leaves[:6], state=leaves[6]))
+
+
+def _chain_blocks(chain) -> Tensor:
+    """y (L, I) of the chain over (a, delta, b, c, u, d_skip), run one row
+    block of ``_block_rows(I * N)`` rows at a time with the scan state
+    carried, which gives the whole-sequence chain's y bit for bit.
+
+    Recording, a sequence under two blocks records the whole chain on the
+    module tape: a rerun would cost a block's chain to save one block of
+    tape. A longer one records its last block in the forward; the blocks
+    before it run off the tape and keep their entering state only, and
+    one node stands for the walk. Its backward walks the last block's
+    tape, then reruns each earlier block, last first, on a fresh tape
+    (block checkpoints, Chen et al., arXiv 1604.06174) seeded with its
+    rows of gy and its final state's adjoint from the block after it.
+    """
+    data = [t.data for t in chain]
+    a, delta, b, c, u, d_skip = data
+    length, rows = len(u), _block_rows(a.size)
+    keep = T.records(chain)
+    tail = (length - 1) // rows * rows if length >= 2 * rows else 0
+    if keep and not tail:
+        return _zoh_scan(*chain)
+    dt = np.result_type(*data)
+    y, state = np.empty(u.shape, dtype=dt), T.wrap_checked(np.zeros(a.shape, dtype=dt))
+    fixed = T.wrap_checked(a), T.wrap_checked(d_skip)
+    edges = []  # the scan state entering each block that the backward reruns
+    for s in range(0, tail, rows) if keep else range(0, max(length, 1), rows):
+        if keep:
+            edges.append(state.data)
+        blk = slice(s, s + rows)
+        part = (T.wrap_checked(v[blk]) for v in (delta, b, c, u))
+        y_b, state = _zoh_scan(fixed[0], *part, fixed[1], state=state)
+        y[blk] = y_b.data
+    if not keep:
+        return T.wrap_checked(y)
+    kept = T.Tape()
+    with T.recording_to(kept):
+        last = _record_block(data, slice(tail, None), state.data)
+    y[tail:] = last[1].data
+
+    def bwd(gy):
+        grads = [np.zeros_like(v) for v in data]
+        g_state = None  # nothing reads the sequence's final state
+        for j in reversed(range(len(edges) + 1)):
+            blk = slice(j * rows, None if j == len(edges) else (j + 1) * rows)
+            tape = kept if j == len(edges) else T.Tape()
+            with T.recording_to(tape):
+                leaves, y_b, h_b = last if tape is kept else _record_block(data, blk, edges[j])
+                T.walk(tape, ((y_b, gy[blk]), (h_b, g_state)))
+            grads[0] += leaves[0].grad
+            grads[5] += leaves[5].grad
+            for g, leaf in zip(grads[1:5], leaves[1:5]):
+                g[blk] = leaf.grad
+            g_state = leaves[6].grad
+        return tuple(grads)
+
+    return T.custom_op("mamba_chain", y, chain, bwd)
 
 
 def causal_conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -399,33 +483,17 @@ class MambaBlock:
         self.b_out = T.const_param(d_model, 0.0, dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        """Tape forward. The ZOH -> b_bar * u -> scan chain runs once over
-        the whole sequence when it records; off the tape it runs one row
-        block of ``_block_rows(I * N)`` rows at a time, the ZOH's own,
-        carrying the scan state into the next block and writing one (L, I)
-        y, so no (L, I, N) array is built. Both give y bit for bit: the ZOH
-        and b_bar * u are elementwise, the scan is sequential and each
-        row's readout is the same batched gemv."""
+        """Tape forward. The ZOH -> b_bar * u -> scan chain walks row
+        blocks (``_chain_blocks``): off the tape it builds no (L, I, N)
+        array, and in training the tape keeps the last block's chain only
+        (a sequence under two blocks records its whole chain)."""
         i = self.d_inner
         xz = T.linear(x, self.w_in, self.b_in)
         main = T.narrow(xz, 1, 0, i)
         gate = T.narrow(xz, 1, i, i)
         u = T.silu(causal_conv1d(main, self.conv_w, self.conv_b))
         b, c, delta = self.ssm.project(u)
-        a, d_skip = self.ssm.a(), self.ssm.d_skip
-        chain = (a, delta, b, c, u, d_skip)
-        length = x.shape[0]
-        rows = length if T.records(chain) else _block_rows(a.size)
-        if rows >= length:  # one block, the whole sequence
-            y = _zoh_scan(*chain)
-        else:
-            dt = np.result_type(*(t.data for t in chain))
-            y, state = np.empty(u.shape, dtype=dt), np.zeros(a.shape, dtype=dt)
-            for s in range(0, length, rows):
-                blk = slice(s, s + rows)
-                part = (T.wrap_checked(t.data[blk]) for t in (delta, b, c, u))
-                y[blk] = _zoh_scan(a, *part, d_skip, state=state).data
-            y = T.wrap_checked(y)
+        y = _chain_blocks((self.ssm.a(), delta, b, c, u, self.ssm.d_skip))
         return T.linear(T.mul(y, T.silu(gate)), self.w_out, self.b_out)
 
     # -- recurrent inference path (numpy, no tape) --

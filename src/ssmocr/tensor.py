@@ -6,7 +6,9 @@ active tape, records a node whose closure maps the output gradient back
 to input gradients. ``backward`` walks the tape once in reverse and
 consumes it: each node is released as it is walked, so a sample's tape
 is freed by reference counting rather than by the cycle collector, and
-the consumed loss is left detached.
+the consumed loss is left detached. An op whose backward recomputes its
+forward records that recompute on a tape of its own (``recording_to``)
+and walks it from several seeds (``walk``).
 
 Broadcasting is deliberately restricted to scalar-tensor and last-dim
 bias adds so that loop oracles in the test suite stay trivial.
@@ -136,6 +138,9 @@ class Tape:
     def __len__(self) -> int:
         return len(self.nodes)
 
+    def __del__(self):  # a kept tape dropped unwalked leaves no cycles
+        self.reset()
+
 
 _tape = Tape()
 _grad_enabled = True
@@ -156,13 +161,30 @@ def no_grad():
         _grad_enabled = prev
 
 
-def wrap_checked(data: np.ndarray) -> Tensor:
-    """An untracked Tensor over data whose every entry an op output has
-    already passed through ``check_finite``: slices and assemblies of op
-    outputs are not checked a second time."""
+@contextlib.contextmanager
+def recording_to(tape: Tape):
+    """Record onto ``tape`` instead of the module tape within the body,
+    gradients enabled; the module tape is active again on exit. A body
+    that raises leaves ``tape`` reset."""
+    global _tape, _grad_enabled
+    prev = _tape, _grad_enabled
+    _tape, _grad_enabled = tape, True
+    try:
+        yield tape
+    except BaseException:
+        tape.reset()
+        raise
+    finally:
+        _tape, _grad_enabled = prev
+
+
+def wrap_checked(data: np.ndarray, requires_grad: bool = False) -> Tensor:
+    """A Tensor over data whose every entry an op output has already
+    passed through ``check_finite``: slices and assemblies of op outputs
+    are not checked a second time. Untracked unless ``requires_grad``."""
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.requires_grad = False
+    out.requires_grad = requires_grad
     out.grad = None
     out.node = None
     return out
@@ -205,45 +227,53 @@ def custom_op_multi(op: str, datas, inputs, backward) -> tuple[Tensor, ...]:
     return tuple(outs)
 
 
-def backward(loss: Tensor) -> None:
-    """Reverse-topological gradient accumulation from a scalar loss.
+def walk(tape: Tape, seeds) -> None:
+    """Reverse-topological gradient accumulation over ``tape`` from
+    (tensor, gradient) seeds; a None gradient seeds nothing.
 
     Gradients sum over fan-out and accumulate into ``.grad`` of every
     requires_grad tensor reached. The tape is consumed: each node is
     popped and its outputs detached before its closure runs, so the node,
     the closure and the arrays only it holds are released as the walk
-    goes. The loss itself is detached, and a second ``backward`` on it
-    raises TapeError. The tape is reset on every exit, a rejected loss
-    included.
+    goes.
     """
-    nodes = _tape.nodes
+    nodes = tape.nodes
+    flowing: dict[int, np.ndarray] = {id(t): g for t, g in seeds if g is not None}
+    while nodes:
+        node = nodes.pop()
+        outs = []
+        for o in node.outputs:
+            o.node = None
+            outs.append(flowing.pop(id(o), None))
+        if all(g is None for g in outs):
+            continue
+        outs = [
+            g if g is not None else np.zeros_like(o.data)
+            for g, o in zip(outs, node.outputs)
+        ]
+        in_grads = node.backward(*outs)
+        for t, g in zip(node.inputs, in_grads):
+            if g is None:
+                continue
+            if t.requires_grad:
+                t.grad = g.copy() if t.grad is None else t.grad + g
+            if t.node is not None:
+                prev = flowing.get(id(t))
+                flowing[id(t)] = g if prev is None else prev + g
+
+
+def backward(loss: Tensor) -> None:
+    """``walk`` the module tape from a scalar loss.
+
+    The loss itself is detached, and a second ``backward`` on it raises
+    TapeError. The tape is reset on every exit, a rejected loss included.
+    """
     try:
         if loss.node is None:
             raise TapeError("backward on a tensor that is not connected to the tape")
         if loss.data.size != 1:
             raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
-        flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        while nodes:
-            node = nodes.pop()
-            outs = []
-            for o in node.outputs:
-                o.node = None
-                outs.append(flowing.pop(id(o), None))
-            if all(g is None for g in outs):
-                continue
-            outs = [
-                g if g is not None else np.zeros_like(o.data)
-                for g, o in zip(outs, node.outputs)
-            ]
-            in_grads = node.backward(*outs)
-            for t, g in zip(node.inputs, in_grads):
-                if g is None:
-                    continue
-                if t.requires_grad:
-                    t.grad = g.copy() if t.grad is None else t.grad + g
-                if t.node is not None:
-                    prev = flowing.get(id(t))
-                    flowing[id(t)] = g if prev is None else prev + g
+        walk(_tape, ((loss, np.ones_like(loss.data)),))
     finally:
         _tape.reset()
 

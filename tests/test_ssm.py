@@ -1,12 +1,14 @@
 """Selective-SSM core: discretization, scan modes, block and connector."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from ssmocr import ssm
 from ssmocr import tensor as T
 from ssmocr.tensor import Tensor
-from gradcheck import check_grads
+from gradcheck import check_grads, rel_err
 from memtrace import traced_bytes
 
 
@@ -389,6 +391,10 @@ class TestCausalConv1d:
 # L = blocks * rows + extra_rows around the row blocks of the off-tape forward
 across_row_blocks = pytest.mark.parametrize(
     "blocks,extra_rows", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (3, 7)])
+# the same with L >= 1, and around the second block edge, where a recording
+# chain starts to rerun blocks
+block_edges = pytest.mark.parametrize(
+    "blocks,extra_rows", [(0, 1), (1, -1), (1, 0), (1, 1), (2, -1), (2, 0), (2, 1), (3, 7)])
 
 
 def make_block(seed=0, d=4, n=3, expand=2, dtype="f64"):
@@ -491,8 +497,8 @@ def rows_of(t, blk):
 
 
 class TestScanState:
-    """``selective_scan(state=)`` reads h_(-1) from state and leaves the
-    final state there, so a sequence scanned in row blocks is one scan."""
+    """``selective_scan(state=)`` takes h_(-1) as a Tensor and returns the
+    final state beside y, so a sequence scanned in row blocks is one scan."""
 
     @across_row_blocks
     @pytest.mark.parametrize("skip", [False, True])
@@ -502,22 +508,23 @@ class TestScanState:
         L = blocks * DESK_ROWS + extra_rows
         args = unrecorded_chain(L, dtype, skip)
         whole = ssm.selective_scan(*args).data
-        state = np.zeros((128, 16), dtype=args[1].data.dtype)
+        state = Tensor(np.zeros((128, 16), dtype=args[1].data.dtype))
         parts = []
         for s in range(0, L, DESK_ROWS):
             blk = slice(s, s + DESK_ROWS)
-            parts.append(ssm.selective_scan(*(rows_of(t, blk) for t in args),
-                                            state=state).data)
+            y, state = ssm.selective_scan(*(rows_of(t, blk) for t in args), state=state)
+            assert y.node is None and state.node is None
+            parts.append(y.data)
         split = np.concatenate(parts) if parts else np.zeros_like(whole)
         assert split.dtype == whole.dtype and split.tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("dtype", ["f32", "f64"])
     def test_zero_state_is_no_state(self, dtype):
         args = unrecorded_chain(2 * DESK_ROWS + 5, dtype)
-        state = np.zeros((128, 16), dtype=args[1].data.dtype)
-        got = ssm.selective_scan(*args, state=state).data
-        assert got.tobytes() == ssm.selective_scan(*args).data.tobytes()
-        assert np.any(state != 0.0)
+        state = Tensor(np.zeros((128, 16), dtype=args[1].data.dtype))
+        got, final = ssm.selective_scan(*args, state=state)
+        assert got.data.tobytes() == ssm.selective_scan(*args).data.tobytes()
+        assert np.any(final.data != 0.0) and not state.data.any()
 
     @pytest.mark.parametrize("dtype", ["f32", "f64"])
     def test_final_state_is_the_prefill_state_bitwise(self, dtype):
@@ -529,24 +536,57 @@ class TestScanState:
         u = ssm._silu_np(ssm._causal_conv_np(xz[:, :i], blk.conv_w.data, blk.conv_b.data)[0])
         b, c, delta = blk.ssm._project_np(u)
         a, u = Tensor(-np.exp(blk.ssm.a_log.data)), Tensor(u)
-        state = np.zeros_like(prefill.h)
         with T.no_grad():
             a_bar, b_bar = ssm.discretize_zoh(a, Tensor(delta), Tensor(b))
-            ssm.selective_scan(a_bar, T.mul_rowbcast(b_bar, u), Tensor(c),
-                               blk.ssm.d_skip, u, state=state)
-        assert state.tobytes() == prefill.h.tobytes()
+            _, state = ssm.selective_scan(a_bar, T.mul_rowbcast(b_bar, u), Tensor(c),
+                                          blk.ssm.d_skip, u, state=Tensor(np.zeros_like(prefill.h)))
+        assert state.data.tobytes() == prefill.h.tobytes()
 
-    def test_recording_or_parallel_scan_refuses_a_state(self):
+    def test_parallel_scan_or_a_misshapen_state_is_refused(self):
         args = unrecorded_chain(9, "f64")
-        state = np.zeros((128, 16))
         with pytest.raises(ValueError, match="state"):
-            ssm.selective_scan(*recorded(args), state=state)
+            ssm.selective_scan(*recorded(args), mode="parallel", state=Tensor(np.zeros((128, 16))))
         assert len(T.active_tape()) == 0
-        with T.no_grad(), pytest.raises(ValueError, match="state"):
-            ssm.selective_scan(*args, mode="parallel", state=state)
         with pytest.raises(T.ShapeError):
-            ssm.selective_scan(*args, state=np.zeros((16, 128)))
-        assert not state.any()
+            ssm.selective_scan(*args, state=Tensor(np.zeros((16, 128))))
+
+    @block_edges
+    @pytest.mark.parametrize("skip", [False, True])
+    def test_recorded_split_at_row_blocks_equals_one_call(self, blocks, extra_rows, skip):
+        # a Tensor state is an input of each call and its final state an
+        # output, so the adjoint is carried back across the block edges
+        L = blocks * DESK_ROWS + extra_rows
+        args = unrecorded_chain(L, "f64", skip)
+        gy = np.random.default_rng(L).standard_normal((L, 128))
+        whole_in = recorded(args)
+        whole = ssm.selective_scan(*whole_in)
+        T.backward(T.sum_all(T.mul(whole, Tensor(gy))))
+        split_in = recorded(args)
+        state, parts = Tensor(np.zeros((128, 16)), requires_grad=True), []
+        for s in range(0, L, DESK_ROWS):
+            m = min(DESK_ROWS, L - s)
+            part = (t if t.data.ndim == 1 else T.narrow(t, 0, s, m) for t in split_in)
+            y, state = ssm.selective_scan(*part, state=state)
+            parts.append(y)
+        split = T.concat(parts)
+        assert split.data.tobytes() == whole.data.tobytes()
+        T.backward(T.sum_all(T.mul(split, Tensor(gy))))
+        for got, expect in zip(split_in, whole_in):
+            assert rel_err(got.grad, expect.grad) <= 1e-12
+
+    @pytest.mark.parametrize("L", [0, 1, 5])
+    def test_entering_state_gradient_passes_finite_differences(self, L):
+        # the loss reads y and the final state, so both adjoints flow
+        rng = np.random.default_rng(30 + L)
+        args = TestSelectiveScan._scan_args(rng, L, i=3, n=2)
+        h0 = Tensor(rng.standard_normal((3, 2)), dtype="f64", requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 2)), dtype="f64")
+
+        def loss():
+            y, h = ssm.selective_scan(*args, state=h0)
+            return T.add(T.sum_all(T.gelu(y)), T.sum_all(T.mul(h, w)))
+
+        check_grads(loss, args + [h0])
 
 
 class TestMambaBlock:
@@ -721,7 +761,8 @@ class TestBiMambaConnector:
         taped = conn.forward(xt)
         assert taped.node is not None
         T.active_tape().reset()
-        assert set(calls.values()) == {2}  # one whole-sequence chain per direction
+        # a block per call, except that under two blocks the chain records whole
+        assert set(calls.values()) == {2 * (-(-L // rows) if L >= 2 * rows else 1)}
         calls.update(dict.fromkeys(calls, 0))
 
         zoh, seen = ssm._zoh_np, []
@@ -741,6 +782,148 @@ class TestBiMambaConnector:
         for direction in (series[:L], series[L:]):
             assert set(series_rows) <= set(np.flatnonzero(direction))
             assert L < rows or not direction.all()
+
+
+def whole_chain(a, delta, b, c, u, d_skip):
+    """The chain over the whole sequence, one recorded call per op."""
+    a_bar, b_bar = ssm.discretize_zoh(a, delta, b)
+    return ssm.selective_scan(a_bar, T.mul_rowbcast(b_bar, u), c, d_skip, u)
+
+
+def loss_and_grads(forward, leaves, gy):
+    """y, the loss sum(y * gy), both as bytes, and the leaves' gradients."""
+    for t in leaves:
+        t.grad = None
+    y = forward()
+    loss = T.sum_all(T.mul(y, Tensor(gy)))
+    out = y.data.tobytes(), loss.data.tobytes()
+    T.backward(loss)
+    return out, [t.grad for t in leaves]
+
+
+GRAD_RTOL = {"f32": 1e-5, "f64": 1e-12}
+
+
+class TestBlockCheckpoints:
+    """A recording chain keeps its tail on a tape and only the entering
+    state of each block before it; backward reruns those blocks. Values
+    and losses are the whole-sequence chain's bit for bit, and gradients
+    its gradients to roundoff."""
+
+    @block_edges
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_chain_gradients_match_the_whole_sequence_chain(self, blocks, extra_rows,
+                                                            dtype):
+        L = blocks * DESK_ROWS + extra_rows
+        leaves = recorded(chain_inputs(L, dtype))  # series rows as in chain_inputs
+        gy = np.random.default_rng(L).standard_normal((L, 128)).astype(leaves[0].data.dtype)
+        expect, g_whole = loss_and_grads(lambda: whole_chain(*leaves), leaves, gy)
+        got, g_blocks = loss_and_grads(lambda: ssm._chain_blocks(leaves), leaves, gy)
+        assert got == expect
+        for g, e in zip(g_blocks, g_whole):
+            assert g.dtype == e.dtype and rel_err(g, e) <= GRAD_RTOL[dtype]
+
+    @block_edges
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("module", ["block", "connector"])
+    def test_module_gradients_match_the_whole_sequence_chain(self, monkeypatch, blocks,
+                                                             extra_rows, dtype, module):
+        # desk widths; zero input windows put rows of each direction on the
+        # ZOH series branch, mid-block and on a block's first row
+        conn = make_connector(8, d=64, n=16, dtype=dtype)
+        blk = conn.block
+        blk.ssm.dt_bias.data[...] = -30.0
+        blk.ssm.w_dt.data[...] = 100.0
+        L = blocks * DESK_ROWS + extra_rows
+        x = np.random.default_rng(70 + L).standard_normal((L, 64))
+        for t in (DESK_ROWS // 2, DESK_ROWS, 2 * DESK_ROWS + 3):
+            if t < L:
+                x[max(0, t - ssm.CONV_WIDTH + 1) : t + 1] = 0.0
+                x[L - 1 - t : L - 1 - t + ssm.CONV_WIDTH] = 0.0
+        xt = Tensor(x, dtype=dtype, requires_grad=True)
+        target = conn if module == "connector" else blk
+        leaves = [xt] + list(target.params().values())
+        gy = np.random.default_rng(L).standard_normal((L, 64)).astype(xt.data.dtype)
+        got, g_blocks = loss_and_grads(lambda: target.forward(xt), leaves, gy)
+        monkeypatch.setattr(ssm, "_chain_blocks", lambda chain: whole_chain(*chain))
+        expect, g_whole = loss_and_grads(lambda: target.forward(xt), leaves, gy)
+        assert got == expect
+        for g, e in zip(g_blocks, g_whole):
+            assert rel_err(g, e) <= GRAD_RTOL[dtype]
+
+    @pytest.mark.parametrize("elems", [48, 72])
+    def test_multi_block_gradients_pass_finite_differences(self, monkeypatch, elems):
+        # I * N = 8 * 3: rows of 2 or 3, so L = 11 reruns 5 or 3 blocks
+        monkeypatch.setattr(ssm, "ZOH_BLOCK_ELEMS", elems)
+        block = make_block(17, d=4, n=3)
+        assert ssm._block_rows(block.d_inner * block.n_state) == elems // 24
+        x = Tensor(np.random.default_rng(17).standard_normal((11, 4)), requires_grad=True)
+        check_grads(lambda: T.sum_all(T.gelu(block.forward(x))),
+                    [x] + list(block.params().values()))
+
+    def test_a_chain_dropped_unwalked_leaves_no_cycles(self):
+        # the module tape reset after a forward, as train does when a later
+        # op fails: the last blocks' own tapes go with it, cycle collector off
+        conn = make_connector(3, d=64, n=16, dtype="f32")
+        x = Tensor(np.random.default_rng(3).standard_normal((3 * DESK_ROWS + 7, 64)),
+                   dtype="f32", requires_grad=True)
+
+        def forward_then_reset():
+            conn.forward(x)
+            T.active_tape().reset()
+
+        forward_then_reset()
+        gc.disable()
+        try:
+            _, _, left = traced_bytes(forward_then_reset)
+        finally:
+            gc.enable()
+        assert left < 64 * 2**10  # one last block's tape holds 5 x 56 KiB
+
+    @pytest.mark.parametrize("owner,op", [(ssm, "discretize_zoh"), (T, "mul_rowbcast")])
+    def test_a_failing_recompute_propagates_and_the_next_sample_trains(self, monkeypatch,
+                                                                       owner, op):
+        # the op raises on its second call in the backward: a rerun tape then
+        # holds nothing (ZOH) or the ZOH's node (mul_rowbcast), and is reset
+        monkeypatch.setattr(ssm, "ZOH_BLOCK_ELEMS", 48)  # rows of 2: 4 blocks rerun
+        tapes = []
+
+        class SeenTape(T.Tape):
+            def __init__(self):
+                super().__init__()
+                tapes.append(self)
+
+        monkeypatch.setattr(T, "Tape", SeenTape)
+        x = Tensor(np.random.default_rng(19).standard_normal((9, 4)), requires_grad=True)
+
+        def sample(block):
+            return T.sum_all(T.gelu(block.forward(x)))
+
+        block, module_tape = make_block(19), T.active_tape()
+        loss = sample(block)
+        fn, calls = getattr(owner, op), []
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise T.NonFiniteError(f"{op}: injected")
+            return fn(*args)
+
+        monkeypatch.setattr(owner, op, failing)
+        with pytest.raises(T.NonFiniteError, match="injected") as failure:
+            T.backward(loss)
+        assert len(calls) == 2 and len(tapes) == 3  # the kept tape and two reruns
+        assert all(len(t) == 0 for t in tapes) and failure.value is not None
+        assert T.active_tape() is module_tape and len(module_tape) == 0
+        monkeypatch.setattr(owner, op, fn)
+        grads = []
+        for b in (block, make_block(19)):  # the failed block, and one never run
+            leaves = [x] + list(b.params().values())
+            for t in leaves:
+                t.grad = None
+            T.backward(sample(b))
+            grads.append([t.grad.tobytes() for t in leaves])
+        assert grads[0] == grads[1]
 
 
 class TestMambaLayer:
