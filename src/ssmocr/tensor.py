@@ -8,7 +8,9 @@ consumes it: each node is released as it is walked, so a sample's tape
 is freed by reference counting rather than by the cycle collector, and
 the consumed loss is left detached. An op whose backward recomputes its
 forward records that recompute on a tape of its own (``recording_to``)
-and walks it from several seeds (``walk``).
+and walks it from several seeds (``walk``). batchnorm2d, silu and conv2d
+rebuild xhat, the sigmoid and the padded input from their input in the
+backward: no op writes its inputs, so the rebuild reads what the forward read.
 
 Broadcasting is deliberately restricted to scalar-tensor and last-dim
 bias adds so that loop oracles in the test suite stay trivial.
@@ -477,7 +479,8 @@ def conv_block_rows(c: int, kh: int, kw: int, wo: int) -> int:
 def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
            stride=1, padding=0) -> Tensor:
     """Cross-correlation of (C, H, W) with kernels (O, C, kh, kw),
-    zero padding. Output H' = (H + 2p - kh) // stride + 1."""
+    zero padding. Output H' = (H + 2p - kh) // stride + 1. The backward
+    re-pads x and rebuilds the im2col columns rather than keep either."""
     if x.data.ndim != 3 or w.data.ndim != 4:
         raise ShapeError(f"conv2d expects (C,H,W) and (O,C,kh,kw), got {x.shape}, {w.shape}")
     if x.data.dtype != w.data.dtype:
@@ -497,14 +500,17 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
         raise ShapeError(f"conv2d: bias shape {bias.shape} != ({o},)")
     ho = (hp - kh) // sh + 1
     wo = (wp - kw) // sw + 1
-    xp = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw)))
+    xd = x.data
 
-    sc, srow, scol = xp.strides
-    win = np.lib.stride_tricks.as_strided(
-        xp, (c, kh, kw, ho, wo), (sc, srow, scol, srow * sh, scol * sw)
-    )
+    def windows():  # (c, kh, kw, ho, wo) view of a fresh zero-padded copy of xd
+        xp = np.pad(xd, ((0, 0), (ph, ph), (pw, pw)))
+        sc, srow, scol = xp.strides
+        return np.lib.stride_tricks.as_strided(
+            xp, (c, kh, kw, ho, wo), (sc, srow, scol, srow * sh, scol * sw))
+
     # im2col one block of output rows at a time, each GEMM into its slice
-    out = np.empty((o, ho, wo), dtype=x.data.dtype)
+    win = windows()
+    out = np.empty((o, ho, wo), dtype=xd.dtype)
     flat, wmat = out.reshape(o, -1), w.data.reshape(o, -1)
     rows = conv_block_rows(c, kh, kw, wo)
     for r in range(0, ho, rows):
@@ -517,12 +523,13 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
 
     def bwd(g):
         gflat = g.reshape(o, -1)
-        cols = win.reshape(c * kh * kw, ho * wo)  # rebuilt from xp, kept for gxp
+        cols = windows().reshape(c * kh * kw, ho * wo)
         gw = (gflat @ cols.T).reshape(w.shape)
+        del cols  # freed before gx needs gcols and gxp
         gx = None
         if x_attached:
             gcols = (wmat.T @ gflat).reshape(c, kh, kw, ho, wo)
-            gxp = np.zeros_like(xp)
+            gxp = np.zeros((c, hp, wp), dtype=xd.dtype)
             for u in range(kh):
                 for v in range(kw):
                     gxp[:, u : u + sh * (ho - 1) + 1 : sh,
@@ -637,12 +644,21 @@ def softplus_np(x: np.ndarray) -> np.ndarray:
 
 
 def silu(x: Tensor) -> Tensor:
+    """x * sigmoid(x) over the sigmoid's buffer; the backward recomputes
+    the sigmoid and forms g * s * (1 + x * (1 - s)) in two full maps."""
     xd = x.data
+
+    def bwd(g):
+        s = sigmoid_np(xd)
+        t = 1.0 - s
+        t *= xd
+        t += 1.0
+        s *= g
+        s *= t
+        return (s,)
+
     sig = sigmoid_np(xd)
-    out = np.multiply(xd, sig, out=None if records((x,)) else sig)  # only bwd reads sig
-    return custom_op(
-        "silu", out, (x,), lambda g: (g * sig * (1.0 + xd * (1.0 - sig)),)
-    )
+    return custom_op("silu", np.multiply(xd, sig, out=sig), (x,), bwd)
 
 
 def softplus(x: Tensor) -> Tensor:
@@ -742,8 +758,10 @@ def batchnorm2d(x: Tensor, scale: Tensor, shift: Tensor,
     Eval mode uses the frozen running statistics.
 
     The input is centred once, the variance comes from the centred array
-    and the normalisation runs in place on it. The training backward is
-    the closed form gx = scale*inv*(g - mean(g) - xhat*mean(g*xhat)).
+    and the normalisation and affine map run in place on it. The backward
+    rebuilds xhat = (x - centre) * inv from the input and per-channel
+    vectors; in training it is the closed form
+    gx = scale*inv*(g - mean(g) - xhat*mean(g*xhat)), in place on xhat.
     """
     if x.data.ndim != 3:
         raise ShapeError(f"batchnorm2d expects (C,H,W), got {x.shape}")
@@ -754,30 +772,32 @@ def batchnorm2d(x: Tensor, scale: Tensor, shift: Tensor,
     dt = xd.dtype
     n = xd.shape[1] * xd.shape[2]
     if training:
-        mu = xd.mean(axis=(1, 2))
-        xhat = xd - mu[:, None, None]
-        var = _channel_dot(xhat, xhat) / n
+        centre = xd.mean(axis=(1, 2))
+        out = xd - centre[:, None, None]
+        var = _channel_dot(out, out) / n
         unbiased = var * (n / max(n - 1, 1))
         running_mean *= 1.0 - BN_MOMENTUM
-        running_mean += BN_MOMENTUM * mu.astype(running_mean.dtype)
+        running_mean += BN_MOMENTUM * centre.astype(running_mean.dtype)
         running_var *= 1.0 - BN_MOMENTUM
         running_var += BN_MOMENTUM * unbiased.astype(running_var.dtype)
     else:
         var = running_var.astype(dt)
-        xhat = xd - running_mean.astype(dt)[:, None, None]
+        centre = running_mean.astype(dt)  # a copy: a later sample updates the buffer
+        out = xd - centre[:, None, None]
     inv = 1.0 / np.sqrt(var + dt.type(BN_EPS))
-    xhat *= inv[:, None, None]
-    keep = records((x, scale, shift))  # off the tape nothing reads xhat again
-    out = np.multiply(xhat, scale.data[:, None, None], out=None if keep else xhat)
+    out *= inv[:, None, None]
+    out *= scale.data[:, None, None]
     out += shift.data[:, None, None]
     gain = (scale.data * inv)[:, None, None]
 
     def bwd(g):
+        xhat = xd - centre[:, None, None]
+        xhat *= inv[:, None, None]
         gscale = _channel_dot(g, xhat)
         gshift = g.sum(axis=(1, 2))
         if not training:
             return (g * gain, gscale, gshift)
-        gx = xhat * (-gscale / n)[:, None, None]
+        gx = np.multiply(xhat, (-gscale / n)[:, None, None], out=xhat)
         gx += g
         gx -= (gshift / n)[:, None, None]
         gx *= gain

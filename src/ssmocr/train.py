@@ -103,12 +103,18 @@ def load_samples(manifest_path: str) -> list[LoadedSample]:
 
 
 def evaluate(model: OcrModel, samples, max_len: int | None = None) -> EvalReport:
+    """Transcribe the samples in eval mode; the model leaves in the mode it
+    came in, also when a transcription raises."""
+    was_training = model.encoder.training
     model.eval()
     report = EvalReport()
-    for k, s in enumerate(samples):
-        res = model.transcribe(s.image, max_len=max_len)
-        report.add(f"sample{k}", s.transcript, res.text)
-    model.train()
+    try:
+        for k, s in enumerate(samples):
+            res = model.transcribe(s.image, max_len=max_len)
+            report.add(f"sample{k}", s.transcript, res.text)
+    finally:
+        if was_training:
+            model.train()
     return report
 
 

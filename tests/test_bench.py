@@ -147,25 +147,26 @@ class TestTiming:
         narrow = np.zeros((32, 128), dtype=np.float32)
         wide = np.zeros((32, 256), dtype=np.float32)
 
-        def median_s(img):  # one warm-up, then the median of 3 timed runs
+        def timed_s(img):  # one warm-up, then 3 timed runs
             enc.forward(img)
             times = []
             for _ in range(3):
                 t0 = time.perf_counter()
                 enc.forward(img)
                 times.append(time.perf_counter() - t0)
-            return np.median(times)
+            return times
 
         narrow_s, wide_s = [], []
         gc.disable()
         try:
             with T.no_grad():
                 for _ in range(9):  # alternate widths so a slow spell hits both
-                    narrow_s.append(median_s(narrow))
-                    wide_s.append(median_s(wide))
+                    narrow_s += timed_s(narrow)
+                    wide_s += timed_s(wide)
         finally:
             gc.enable()
-        assert np.median(wide_s) > np.median(narrow_s)
+        # load only ever inflates a run, so the fastest of the 27 is the cost
+        assert min(wide_s) > min(narrow_s)
 
 
 # after the timing tests: run just before them, its subprocess slowed their medians

@@ -500,6 +500,190 @@ class TestActivations:
         assert np.isclose(T.softplus(scalar).data, np.logaddexp(0.0, 2.0), rtol=1e-15, atol=0)
 
 
+def stored_batchnorm_grads(xd, sd, rm, rv, training, g):
+    """The batchnorm2d backward that kept its normalised input from the
+    forward, as it ran before the backward rebuilt it."""
+    dt, n = xd.dtype, xd.shape[1] * xd.shape[2]
+    if training:
+        mu = xd.mean(axis=(1, 2))
+        xhat = xd - mu[:, None, None]
+        var = T._channel_dot(xhat, xhat) / n
+    else:
+        var = rv.astype(dt)
+        xhat = xd - rm.astype(dt)[:, None, None]
+    inv = 1.0 / np.sqrt(var + dt.type(T.BN_EPS))
+    xhat *= inv[:, None, None]
+    gain = (sd * inv)[:, None, None]
+    gscale = T._channel_dot(g, xhat)
+    gshift = g.sum(axis=(1, 2))
+    if not training:
+        return (g * gain, gscale, gshift)
+    gx = xhat * (-gscale / n)[:, None, None]
+    gx += g
+    gx -= (gshift / n)[:, None, None]
+    gx *= gain
+    return (gx, gscale, gshift)
+
+
+def stored_silu_grads(xd, g):
+    """The silu backward that kept the forward's sigmoid."""
+    sig = T.sigmoid_np(xd)
+    return (g * sig * (1.0 + xd * (1.0 - sig)),)
+
+
+def stored_conv2d_grads(xd, wd, bias, stride, padding, attached, g):
+    """The conv2d backward that kept the forward's padded input."""
+    c, h, wdt = xd.shape
+    o, _, kh, kw = wd.shape
+    sh, sw = (stride, stride) if isinstance(stride, int) else stride
+    ph, pw = (padding, padding) if isinstance(padding, int) else padding
+    ho, wo = g.shape[1:]
+    xp = np.pad(xd, ((0, 0), (ph, ph), (pw, pw)))
+    sc, srow, scol = xp.strides
+    win = np.lib.stride_tricks.as_strided(
+        xp, (c, kh, kw, ho, wo), (sc, srow, scol, srow * sh, scol * sw))
+    wmat, gflat = wd.reshape(o, -1), g.reshape(o, -1)
+    cols = win.reshape(c * kh * kw, ho * wo)
+    gw = (gflat @ cols.T).reshape(wd.shape)
+    gx = None
+    if attached:
+        gcols = (wmat.T @ gflat).reshape(c, kh, kw, ho, wo)
+        gxp = np.zeros_like(xp)
+        for u in range(kh):
+            for v in range(kw):
+                gxp[:, u : u + sh * (ho - 1) + 1 : sh,
+                       v : v + sw * (wo - 1) + 1 : sw] += gcols[:, u, v]
+        gx = gxp[:, ph : ph + h, pw : pw + wdt] if (ph or pw) else gxp
+        gx = np.ascontiguousarray(gx)
+    return (gx, gw) if not bias else (gx, gw, g.sum(axis=(1, 2)))
+
+
+def assert_same_grads(got, expect):
+    assert len(got) == len(expect)
+    for a, b in zip(got, expect):
+        if b is None:
+            assert a is None
+        else:
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+class TestRecomputedBackward:
+    """batchnorm2d, silu and conv2d rebuild in the backward what their
+    forward derived from the input (xhat, the sigmoid, the padded input).
+    The gradients equal those of the closures that stored it, bit for bit,
+    and a recorded forward keeps no more than its output alive."""
+
+    SHAPE = (4, 9, 11)
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_batchnorm_equals_the_stored_closure(self, dtype, training):
+        rng = np.random.default_rng(20 + training)
+        c = self.SHAPE[0]
+        x = T.Tensor(rng.standard_normal(self.SHAPE) * 2.5 + 1.5, dtype=dtype,
+                     requires_grad=True)
+        scale = T.Tensor(rng.uniform(0.5, 1.5, c), dtype=dtype, requires_grad=True)
+        shift = T.Tensor(rng.standard_normal(c), dtype=dtype, requires_grad=True)
+        rm, rv = rng.standard_normal(c), rng.uniform(0.5, 2.0, c)
+        rm0, rv0 = rm.copy(), rv.copy()
+        g = rng.standard_normal(self.SHAPE).astype(x.data.dtype)
+        try:
+            out = T.batchnorm2d(x, scale, shift, rm, rv, training=training)
+            rm += 1.0  # a later sample's update of the buffers
+            rv *= 2.0
+            got = out.node.backward(g)
+        finally:
+            T.active_tape().reset()
+        expect = stored_batchnorm_grads(x.data, scale.data, rm0, rv0, training, g)
+        assert_same_grads(got, expect)
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_silu_equals_the_stored_closure(self, dtype):
+        rng = np.random.default_rng(22)
+        x = T.Tensor(rng.standard_normal(self.SHAPE) * 6.0, dtype=dtype, requires_grad=True)
+        g = rng.standard_normal(self.SHAPE).astype(x.data.dtype)
+        try:
+            got = T.silu(x).node.backward(g)
+        finally:
+            T.active_tape().reset()
+        assert_same_grads(got, stored_silu_grads(x.data, g))
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("attached", [True, False])
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("stride", [1, (2, 1)])
+    def test_conv2d_equals_the_stored_closure(self, stride, padding, bias, attached,
+                                              dtype):
+        rng = np.random.default_rng(23)
+        x = T.Tensor(rng.standard_normal(self.SHAPE), dtype=dtype, requires_grad=attached)
+        w = T.Tensor(rng.standard_normal((5, self.SHAPE[0], 3, 3)), dtype=dtype,
+                     requires_grad=True)
+        b = T.Tensor(rng.standard_normal(5), dtype=dtype, requires_grad=True) if bias else None
+        try:
+            out = T.conv2d(x, w, b, stride, padding)
+            g = rng.standard_normal(out.shape).astype(out.data.dtype)
+            got = out.node.backward(g)
+        finally:
+            T.active_tape().reset()
+        expect = stored_conv2d_grads(x.data, w.data, bias, stride, padding, attached, g)
+        assert_same_grads(got, expect)
+
+    # stage-0-like f32 maps: 16 channels, so the per-channel vectors are tiny
+    MEM_SHAPE = (16, 32, 200)
+
+    def _ops(self, rng):
+        c = self.MEM_SHAPE[0]
+        w = T.Tensor(rng.standard_normal((8, c, 3, 3)), dtype="f32", requires_grad=True)
+        scale = T.Tensor(rng.uniform(0.5, 1.5, c), dtype="f32", requires_grad=True)
+        shift = T.Tensor(rng.standard_normal(c), dtype="f32", requires_grad=True)
+        buffers = np.zeros(c), np.ones(c)
+        return {
+            "conv2d": lambda x: T.conv2d(x, w, padding=1),
+            "batchnorm2d-train": lambda x: T.batchnorm2d(x, scale, shift, *buffers, True),
+            "batchnorm2d-eval": lambda x: T.batchnorm2d(x, scale, shift, *buffers, False),
+            "silu": T.silu,
+        }
+
+    @pytest.mark.parametrize("op", ["conv2d", "batchnorm2d-train", "batchnorm2d-eval",
+                                    "silu"])
+    def test_recorded_forward_keeps_only_its_output(self, op):
+        # the stored closures kept a second full map: xp, xhat or the sigmoid
+        rng = np.random.default_rng(24)
+        fn = self._ops(rng)[op]
+        x = T.Tensor(rng.standard_normal(self.MEM_SHAPE), dtype="f32", requires_grad=True)
+        try:
+            out, _, kept = traced_bytes(lambda: fn(x))
+            assert out.node is not None
+            assert kept <= out.data.nbytes + 8 * 2**10
+        finally:
+            T.active_tape().reset()
+
+    @pytest.mark.parametrize("op", ["conv2d", "batchnorm2d-train", "batchnorm2d-eval",
+                                    "silu"])
+    def test_second_recorded_op_on_the_same_input_leaves_the_gradients(self, op):
+        # the backward re-reads its input, so no other op may write it: run
+        # every op once more on the same input, forward and backward, in
+        # between this op's forward and its backward
+        rng = np.random.default_rng(25)
+        ops = self._ops(rng)
+        x_np = rng.standard_normal(self.MEM_SHAPE).astype(np.float32)
+        grads = []
+        for others in ((), [k for k in ops]):
+            x = T.Tensor(x_np, requires_grad=True)
+            try:
+                out = ops[op](x)
+                g = np.random.default_rng(26).standard_normal(out.shape).astype(np.float32)
+                for k in others:
+                    other = ops[k](x)
+                    other.node.backward(np.ones(other.shape, dtype=np.float32))
+                grads.append(out.node.backward(g))
+            finally:
+                T.active_tape().reset()
+            assert np.array_equal(x.data, x_np)
+        assert_same_grads(grads[1], grads[0])
+
+
 class TestBackward:
     def test_product_rule(self):
         x = T.Tensor([2.0], dtype="f64", requires_grad=True)

@@ -604,6 +604,51 @@ class TestTraining:
         assert len(batches_a) == 8
         assert batches_a == batches_b == batches_c
 
+    @staticmethod
+    def _ctc_model_and_samples(tiny_dataset, tmp_path):
+        cfg = tiny_cfg(tmp_path, tiny_dataset)
+        samples = TR.load_samples(tiny_dataset)
+        vocab = Vocabulary.from_texts([s.transcript for s in samples])
+        return build_model(cfg, vocab), samples
+
+    def test_evaluate_leaves_an_eval_model_in_eval_mode(self, tiny_dataset, tmp_path):
+        # a model back in training mode would normalise its next transcription
+        # with batch statistics and overwrite the running buffers
+        model, samples = self._ctc_model_and_samples(tiny_dataset, tmp_path)
+        model.eval()
+        img = samples[0].image
+
+        def read():
+            with T.no_grad():
+                logits = model.decoder.frame_logits(model.encode(img)).data.copy()
+            return model.transcribe(img).text, logits
+
+        text, logits = read()
+        buffers = {k: v.tobytes() for k, v in model.buffers().items()}
+        TR.evaluate(model, samples)
+        assert not model.encoder.training
+        text_after, logits_after = read()
+        assert text_after == text
+        assert np.array_equal(logits_after, logits)
+        assert {k: v.tobytes() for k, v in model.buffers().items()} == buffers
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_a_raising_transcription_restores_the_mode(self, tiny_dataset, tmp_path,
+                                                       monkeypatch, training):
+        model, samples = self._ctc_model_and_samples(tiny_dataset, tmp_path)
+        model.train() if training else model.eval()
+        seen = []
+
+        def failing_transcribe(image, max_len=None):
+            seen.append(model.encoder.training)
+            raise RuntimeError("decode failed")
+
+        monkeypatch.setattr(model, "transcribe", failing_transcribe)
+        with pytest.raises(RuntimeError, match="decode failed"):
+            TR.evaluate(model, samples)
+        assert seen == [False]
+        assert model.encoder.training is training
+
     def test_adamw_moves_toward_minimum(self):
         import ssmocr.tensor as T
         x = T.Tensor(np.array([5.0]), dtype="f64", requires_grad=True)
